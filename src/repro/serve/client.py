@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -73,11 +72,11 @@ class ServeClient:
             typed 504; hence the 330 s default margin.
         fallbacks: additional ``(host, port)`` base URLs tried in order
             when the preferred target is unreachable (connection refused /
-            reset / socket timeout — *not* HTTP-level failures, which are
-            real answers).  A target that answers is promoted and stays
-            preferred until it too fails, so a client pointed at a front
-            router plus its replicas rides out a router restart without
-            hammering dead sockets on every call.
+            reset / socket timeout / an answer torn off mid-read — *not*
+            HTTP-level failures, which are real answers).  A target that
+            answers is promoted and stays preferred until it too fails, so
+            a client pointed at a front router plus its replicas rides out
+            a router restart without hammering dead sockets on every call.
     """
 
     def __init__(
@@ -264,7 +263,9 @@ class ServeClient:
             except (UnicodeDecodeError, json.JSONDecodeError):
                 body = {"raw": raw.decode("utf-8", errors="replace")}
             return response.status, headers, body
-        except (ConnectionError, socket.timeout, OSError) as error:
+        except (OSError, http.client.HTTPException) as error:
+            # HTTPException: the answer was torn off (IncompleteRead,
+            # BadStatusLine), which subclass neither OSError nor ServeError.
             raise ServiceUnavailableError(
                 f"cannot reach {host}:{port}: {error}",
                 error_type="unreachable",

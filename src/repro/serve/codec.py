@@ -10,22 +10,25 @@ types.  Two asymmetries shape the codec:
   :func:`encode_request` / :func:`decode_request` therefore round-trip the
   *wire form* losslessly, and :func:`to_eval_request` performs the resolution.
 * A wire result carries every tensor by value.  Arrays are encoded as
-  ``{"dtype", "shape", "data"}`` with flat ``data`` lists; JSON serializes
-  Python floats via ``repr``, which round-trips every finite float64 exactly,
-  so a decoded :class:`EvalResult` is **bit-identical** to the served one —
-  the invariant the service smoke job asserts against direct
-  :meth:`Session.evaluate`.
+  ``{"dtype", "shape", "data"}`` where ``data`` is the base64 of the
+  array's little-endian bytes in C order.  The wire carries the raw
+  IEEE-754 (and two's-complement) bytes, not ``repr`` text, so a decoded
+  :class:`EvalResult` is **bit-identical** to the served one — NaN payloads
+  and signed zeros included — the invariant the service smoke job asserts
+  against direct :meth:`Session.evaluate`.
 
 Validation is strict: unknown fields, wrong types (including ``True`` where
-an int is expected), and malformed arrays all raise :class:`CodecError`,
-which the HTTP layer maps to a typed ``400`` error payload.  Typed payloads
-(:func:`error_payload`) also cover
+an int is expected), and malformed arrays (non-base64 ``data``, a byte
+count that does not fit the shape, bool bytes other than 0 and 1) all raise
+:class:`CodecError`, which the HTTP layer maps to a typed ``400`` error
+payload.  Typed payloads (:func:`error_payload`) also cover
 :class:`~repro.api.protocol.UnsupportedRequestError` (``422``), unknown
 model/dataset names (``404``), overload (``429``), and shutdown (``503``).
 """
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
@@ -292,58 +295,53 @@ WIRE_DTYPES = ("float64", "int64", "bool")
 
 
 def encode_array(array: np.ndarray) -> Dict[str, object]:
-    """A numpy array as ``{"dtype", "shape", "data"}`` with flat data."""
+    """A numpy array as ``{"dtype", "shape", "data"}``, ``data`` in base64."""
     array = np.asarray(array)
     if array.dtype.name not in WIRE_DTYPES:
         raise CodecError(
             f"array dtype {array.dtype.name!r} is not wire-encodable; "
             f"allowed: {WIRE_DTYPES}"
         )
+    little = array.astype(array.dtype.newbyteorder("<"), copy=False)
     return {
         "dtype": array.dtype.name,
         "shape": list(array.shape),
-        "data": array.ravel().tolist(),
+        "data": base64.b64encode(little.tobytes()).decode("ascii"),
     }
 
 
 def decode_array(obj: object, field: str = "array") -> np.ndarray:
-    """Decode :func:`encode_array` output back into a numpy array."""
-    _require(isinstance(obj, dict), f"{field} must be an array object", field)
+    """Decode :func:`encode_array` output into a writable native-endian array."""
+    if not isinstance(obj, dict):
+        raise CodecError(f"{field} must be an array object", field=field)
     missing = {"dtype", "shape", "data"} - set(obj)
     _require(not missing, f"{field} is missing {sorted(missing)}", field)
-    _require(
-        obj["dtype"] in WIRE_DTYPES,
-        f"{field} has unknown dtype {obj['dtype']!r}",
-        field,
-    )
-    shape = _int_tuple(obj["shape"], f"{field}.shape") if obj["shape"] else ()
-    _require(isinstance(obj["data"], list), f"{field}.data must be a list", field)
-    expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    _require(
-        len(obj["data"]) == expected,
-        f"{field}.data has {len(obj['data'])} entries, shape {shape} needs {expected}",
-        field,
-    )
-    # Entry types are checked before numpy sees them: np.asarray would
-    # silently truncate floats and coerce booleans into an int64 array,
-    # which is exactly the lossy coercion a strict codec must refuse.
-    data = obj["data"]
-    if obj["dtype"] == "bool":
-        typed = all(isinstance(item, bool) for item in data)
-    elif obj["dtype"] == "int64":
-        typed = all(_is_int(item) for item in data)
-    else:  # float64; integer-valued entries decode exactly, bools do not pass
-        typed = all(
-            isinstance(item, (int, float)) and not isinstance(item, bool)
-            for item in data
-        )
-    _require(typed, f"{field}.data entries do not match dtype {obj['dtype']}", field)
+    name = obj["dtype"]
+    _require(name in WIRE_DTYPES, f"{field} has unknown dtype {name!r}", field)
+    shape = _int_tuple(obj["shape"], f"{field}.shape") if obj["shape"] != [] else ()
+    _require(min(shape, default=0) >= 0, f"{field}.shape dims must be >= 0", field)
+    _require(isinstance(obj["data"], str), f"{field}.data must be a string", field)
     try:
-        return np.asarray(data, dtype=obj["dtype"]).reshape(shape)
-    except (TypeError, ValueError) as error:
-        raise CodecError(
-            f"{field}.data does not decode: {error}", field=field
-        ) from error
+        raw = base64.b64decode(obj["data"], validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise CodecError(f"{field}.data is not base64: {error}", field=field) from None
+    wire = np.dtype(name).newbyteorder("<")
+    expected = math.prod(shape) * wire.itemsize
+    _require(
+        len(raw) == expected,
+        f"{field}.data has {len(raw)} bytes, shape {shape} of {name} needs {expected}",
+        field,
+    )
+    # numpy reads any nonzero byte as True; a strict codec accepts only 0 and 1.
+    _require(
+        name != "bool" or max(raw, default=0) <= 1,
+        f"{field}.data bool bytes must be 0 or 1",
+        field,
+    )
+    try:
+        return np.frombuffer(raw, dtype=wire).astype(name).reshape(shape)
+    except ValueError as error:  # over 64 dims, or a zero-size shape with a huge dim
+        raise CodecError(f"{field}.shape is invalid: {error}", field=field) from None
 
 
 def encode_result(result: EvalResult) -> Dict[str, object]:

@@ -4,6 +4,10 @@
 replicas the way a spine fronts its leaves (the spine-leaf DCN surveys in
 PAPERS.md are the topology playbook): clients talk to one address, and the
 router owns placement, failover, and the fleet-wide overload decision.
+Like a spine, it forwards answers without processing them: the body a
+replica writes is the body the client reads, byte for byte.  The router
+only checks that the body parses as a JSON object, so a torn or garbled
+answer fails over instead of reaching the client.
 
 **Consistent routing.**  Every request is routed by its *model
 fingerprint* (a content hash of the hosted model's ``/v1/models`` entry,
@@ -35,8 +39,9 @@ per shed request.
 eject it from the ring (its models re-home deterministically onto the
 survivors), and a recovering replica rejoins with its old assignments
 restored — rendezvous hashing moves only the ejected replica's keys in
-both directions.  A proxy attempt that hits a dead socket (or a replica
-answering 503 mid-shutdown) fails over to the next replica in the key's
+both directions.  A proxy attempt that hits a dead socket, a torn answer
+(the replica hung up inside its status line or body), or a replica
+answering 503 mid-shutdown fails over to the next replica in the key's
 preference order within the same request, so a mid-burst replica kill is
 absorbed without a client-visible 5xx.
 
@@ -54,7 +59,6 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -70,6 +74,14 @@ from repro.serve.admission import (
 from repro.serve.codec import decode_request
 from repro.serve.handlers import FrontHandler
 from repro.serve.ring import ReplicaRing
+
+#: ``(status, headers, body)`` of one replica answer; ``body`` is its bytes.
+Answer = Tuple[int, Dict[str, str], bytes]
+
+#: What a replica call raises when the replica is unreachable (``OSError``),
+#: hangs up mid-answer (``IncompleteRead`` and ``BadStatusLine`` are
+#: ``HTTPException``, not ``OSError``) or answers non-JSON (``ValueError``).
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
 
 
 class FleetUnavailableError(RuntimeError):
@@ -285,7 +297,7 @@ class FrontService:
                 return None
             body = json.loads(raw.decode("utf-8"))
             return body if isinstance(body, dict) else None
-        except (ConnectionError, socket.timeout, OSError, ValueError):
+        except _TRANSPORT_ERRORS:
             return None
         finally:
             connection.close()
@@ -429,17 +441,15 @@ class FrontService:
             retry_after=float(min(60.0, max(1.0, hint))),
         )
 
-    def evaluate(
-        self, payload: object
-    ) -> Tuple[int, Dict[str, str], Dict[str, object]]:
+    def evaluate(self, payload: object) -> Answer:
         """Route one wire payload; returns ``(status, headers, body)``.
 
-        The replica's JSON answer passes through verbatim (the router adds
+        ``body`` is the replica's answer, byte for byte (the router adds
         routing, never arithmetic — bit-identity is the replica's), with
         deterministic failover along the model's preference order:
 
-        * dead socket or 503 (mid-shutdown) → next replica, and the dead
-          one is ejected on the spot;
+        * dead socket, torn or non-JSON answer, or 503 (mid-shutdown) →
+          next replica, and the failed one is ejected on the spot;
         * 429 (that one replica is saturated) → spill to the next replica
           in preference order; if every healthy replica sheds, the last
           429 passes through (its ``Retry-After`` still carries a
@@ -468,11 +478,11 @@ class FrontService:
                 f"(fleet: {self.ring.replicas or 'empty'})"
             )
         started = time.monotonic()
-        overloaded: Optional[Tuple[int, Dict[str, str], Dict[str, object]]] = None
+        overloaded: Optional[Answer] = None
         for index, state in enumerate(candidates):
             answer = self._proxy_evaluate(state, payload)
             if answer is None or answer[0] == 503:
-                # Dead socket / shutting-down replica: eject and fail over.
+                # Dead socket, torn answer or shutting down: eject, fail over.
                 self._mark_failure(state.name, during="proxy")
                 if index + 1 < len(candidates):
                     with self._lock:
@@ -497,10 +507,12 @@ class FrontService:
             "unreachable"
         )
 
-    def _proxy_evaluate(
-        self, state: ReplicaState, payload: object
-    ) -> Optional[Tuple[int, Dict[str, str], Dict[str, object]]]:
-        """POST one payload to one replica; ``None`` on transport failure."""
+    def _proxy_evaluate(self, state: ReplicaState, payload: object) -> Optional[Answer]:
+        """POST one payload to one replica; ``None`` on transport failure.
+
+        The answer body is returned unchanged; it is parsed only to check
+        that it is a JSON object, so a garbled answer counts as a failure.
+        """
         connection = http.client.HTTPConnection(
             state.host, state.port, timeout=self.config.request_timeout
         )
@@ -514,15 +526,14 @@ class FrontService:
             )
             response = connection.getresponse()
             raw = response.read()
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
-            if not isinstance(parsed, dict):
+            if not isinstance(json.loads(raw), dict):
                 return None
             headers: Dict[str, str] = {}
             retry_after = response.getheader("Retry-After")
             if retry_after is not None:
                 headers["Retry-After"] = retry_after
-            return response.status, headers, parsed
-        except (ConnectionError, socket.timeout, OSError, ValueError):
+            return response.status, headers, raw
+        except _TRANSPORT_ERRORS:
             return None
         finally:
             connection.close()

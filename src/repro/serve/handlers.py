@@ -20,8 +20,9 @@ Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
 (:class:`~repro.serve.front.FrontServer`).  Routes:
 
 * ``POST /v1/evaluate`` — fleet admission check, then consistent-routing
-  proxy to the model's replica (with deterministic failover); replica
-  answers pass through verbatim, so responses stay bit-identical.
+  proxy to the model's replica (with deterministic failover); the
+  replica's answer body is written to the client byte for byte, never
+  decoded and re-encoded, so responses stay bit-identical.
 * ``GET /v1/models`` — the fleet-wide model/dataset union.
 * ``GET /v1/fleet`` — ring assignments, per-replica health, ejection
   counters: the sharding introspection surface.
@@ -29,13 +30,16 @@ Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
   fleet view (counters summed, p95 merged from per-replica windows).
 
 Everything is JSON; every response carries an exact ``Content-Length``.
+A peer that stalls mid-request is dropped after :attr:`_JsonHandler.timeout`
+seconds, and one that hangs up before its whole body arrived gets no
+answer: there is no one left to read it.
 """
 
 from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler
-from typing import TYPE_CHECKING, Dict, Optional, cast
+from typing import TYPE_CHECKING, Dict, Optional, Union, cast
 
 from repro.serve.admission import QueueFullError, ServiceClosedError
 
@@ -62,7 +66,12 @@ class _JsonHandler(BaseHTTPRequestHandler):
     for the ``/metrics`` request table.
     """
 
-    server_version = "repro-serve/1.3"
+    # 1.4: array ``data`` is base64 bytes; 1.3 clients cannot decode it.
+    server_version = "repro-serve/1.4"
+    #: Socket timeout (seconds) of every blocking read and write, so a
+    #: stalled peer cannot hold a handler thread.  Waiting for the worker
+    #: pool is not socket I/O and is bounded by ``request_timeout`` instead.
+    timeout = 30.0
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002 - stdlib signature
         """Silence per-request stderr logging (metrics cover it)."""
@@ -75,10 +84,14 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self,
         route: str,
         status: int,
-        payload: Dict[str, object],
+        payload: Union[Dict[str, object], bytes],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Answer ``payload``; ``bytes`` are an encoded JSON body, sent as is."""
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -111,7 +124,11 @@ class _JsonHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_json_body(self) -> object:
-        """The parsed JSON body, or :class:`CodecError` on any malformation."""
+        """The parsed JSON body, or :class:`CodecError` on any malformation.
+
+        Raises :class:`ConnectionAbortedError` when the peer closed the
+        connection before sending ``Content-Length`` bytes.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -124,6 +141,10 @@ class _JsonHandler(BaseHTTPRequestHandler):
                 f"{MAX_BODY_BYTES}-byte limit"
             )
         body = self.rfile.read(length)
+        if len(body) < length:
+            raise ConnectionAbortedError(
+                f"peer closed after {len(body)} of {length} body bytes"
+            )
         try:
             return json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -161,6 +182,8 @@ class ServeHandler(_JsonHandler):
         try:
             payload = self._read_json_body()
             job = self.service.enqueue(payload)
+        except ConnectionAbortedError:
+            return  # the peer hung up mid-body: there is no one to answer
         except (
             QueueFullError,  # 429, Retry-After mirrored from the payload
             ServiceClosedError,  # 503
@@ -228,6 +251,8 @@ class FrontHandler(_JsonHandler):
         try:
             payload = self._read_json_body()
             status, headers, body = self.front.evaluate(payload)
+        except ConnectionAbortedError:
+            return  # the peer hung up mid-body: there is no one to answer
         except (
             QueueFullError,  # fleet-level shed: 429 before any backend socket
             ServiceClosedError,  # 503: front shutting down

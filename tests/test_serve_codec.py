@@ -4,13 +4,14 @@ The protocol promise is *losslessness*: any :class:`EvalRequest` the
 protocol allows survives ``encode → json.dumps → json.loads → decode``
 with every field intact (models and datasets round-trip by registry name),
 and any :class:`EvalResult` survives the same trip **bit-identically**
-(JSON serializes floats via ``repr``, which is exact for float64).
+(arrays travel as base64 of their raw little-endian bytes).
 Hypothesis drives the field combinations, including multi-point
 (copies, spf) grids and the chip-only capability flags.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -166,24 +167,33 @@ def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
     assert decoded.repeats == result.repeats
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    shape=st.lists(st.integers(0, 4), min_size=0, max_size=3),
-    dtype=st.sampled_from(["float64", "int64", "bool"]),
+    shape=st.one_of(
+        st.just([]),  # 0-d
+        st.just([3, 0, 2]),  # zero-size
+        st.lists(st.integers(0, 4), min_size=0, max_size=3),
+    ),
+    dtype=st.sampled_from([">f8", "<f8", ">i8", "<i8", "bool"]),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_array_roundtrip_any_shape_and_dtype(shape, dtype, seed):
     rng = np.random.default_rng(seed)
-    if dtype == "float64":
-        array = rng.standard_normal(shape)
-    elif dtype == "int64":
-        array = rng.integers(-(2**40), 2**40, size=shape)
+    if dtype.endswith("f8"):
+        array = rng.standard_normal(shape).astype(dtype)
+        # A NaN payload (``repr`` text would drop it) and a signed zero.
+        specials = np.array([0x7FF80000DEADBEEF, 1 << 63], dtype=np.uint64)
+        array.reshape(-1)[:2] = specials.view(np.float64)[: array.size]
+    elif dtype.endswith("i8"):
+        array = rng.integers(-(2**40), 2**40, size=shape).astype(dtype)
     else:
         array = rng.random(shape) < 0.5
     decoded = decode_array(json.loads(json.dumps(encode_array(array))))
-    assert decoded.dtype == array.dtype
+    native = array.astype(array.dtype.newbyteorder("="))
+    assert decoded.dtype == native.dtype
     assert decoded.shape == array.shape
-    assert decoded.tobytes() == array.tobytes()
+    assert decoded.tobytes() == native.tobytes()
+    assert decoded.flags.writeable
 
 
 # ----------------------------------------------------------------------
@@ -251,22 +261,38 @@ def test_unknown_model_and_dataset_are_typed():
         )
 
 
+def _assert_rejected(obj, match):
+    with pytest.raises(CodecError, match=match) as excinfo:
+        decode_array(obj, "scores")
+    assert excinfo.value.field == "scores"
+
+
 def test_int64_array_rejects_lossy_float_and_bool_entries():
-    """np.asarray would truncate 1.7 and coerce True; the codec must not."""
+    """Only canonical base64 bytes decode: not JSON lists (np.asarray would
+    truncate 1.7 and coerce True), not text outside the base64 alphabet,
+    and not bool bytes numpy would read as True although they are not 1."""
     good = encode_array(np.arange(2, dtype=np.int64))
-    with pytest.raises(CodecError, match="do not match dtype"):
-        decode_array(dict(good, data=[1.7, 2]))
-    with pytest.raises(CodecError, match="do not match dtype"):
-        decode_array(dict(good, data=[True, 2]))
-    with pytest.raises(CodecError, match="do not match dtype"):
-        decode_array(dict(encode_array(np.zeros(1)), data=[False]))
+    _assert_rejected(dict(good, data=[1.7, 2]), "data must be a string")
+    _assert_rejected(dict(good, data=[True, 2]), "data must be a string")
+    _assert_rejected(dict(good, data=good["data"].replace("A", "*", 1)), "base64")
+    _assert_rejected(dict(good, data=" " + good["data"]), "not base64")
+    _assert_rejected(dict(good, data="é" * len(good["data"])), "not base64")
+    flags = encode_array(np.array([True, False]))
+    assert flags["data"] == base64.b64encode(b"\x01\x00").decode("ascii")
+    twos = base64.b64encode(b"\x01\x02").decode("ascii")
+    _assert_rejected(dict(flags, data=twos), "bool bytes must be 0 or 1")
 
 
 def test_array_shape_data_mismatch_rejected():
     good = encode_array(np.arange(6, dtype=np.int64).reshape(2, 3))
-    bad = dict(good, data=good["data"][:-1])
-    with pytest.raises(CodecError, match="entries"):
-        decode_array(bad)
+    short = base64.b64encode(base64.b64decode(good["data"])[:-8]).decode("ascii")
+    _assert_rejected(dict(good, data=short), r"40 bytes, shape \(2, 3\) .* needs 48")
+    _assert_rejected(dict(good, shape=[3, 3]), "needs 72")
+    _assert_rejected(dict(good, shape=[-2, -3]), "dims must be >= 0")
+    _assert_rejected(dict(good, shape=[0, 2**70], data=""), "shape is invalid")
+    _assert_rejected(dict(good, shape=[6] + [1] * 64), "shape is invalid")
+    _assert_rejected(dict(good, data=None), "data must be a string")
+    _assert_rejected(good["data"], "must be an array object")
 
 
 def test_result_missing_field_rejected():

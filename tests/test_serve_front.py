@@ -14,12 +14,17 @@ The front tier's promises, each pinned here:
   latency windows;
 * validation failures (400) are answered at the front without burning a
   backend connection, while replica answers (404s, 429s) pass through
-  with their typed payloads intact.
+  byte for byte, headers included;
+* a replica that hangs up mid-answer is failed over and ejected like a
+  dead socket, and a client pointed straight at it falls back.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -34,8 +39,15 @@ from repro.serve import (
     ServeConfig,
     ServeError,
     ServiceOverloadedError,
+    ServiceUnavailableError,
 )
-from repro.serve.front import FrontConfig, FrontServer
+from repro.serve.front import (
+    FrontConfig,
+    FrontServer,
+    FrontService,
+    model_fingerprint,
+)
+from repro.serve.ring import ReplicaRing
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +97,32 @@ def _replica_received(replicas):
         ]
         for replica in replicas
     ]
+
+
+def _post_raw(port, payload):
+    """``POST /v1/evaluate``; the raw ``(status, headers, body bytes)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60.0)
+    try:
+        connection.request(
+            "POST",
+            "/v1/evaluate",
+            body=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, dict(response.getheaders()), response.read()
+    finally:
+        connection.close()
+
+
+def _wait_queue_depth(port, depth):
+    settled = threading.Event()
+    for _ in range(200):
+        metrics = ServeClient(port=port, timeout=30.0).metrics()
+        if metrics["requests"]["queue_depth"] == depth:
+            return
+        settled.wait(0.05)
+    raise AssertionError(f"replica on port {port} never queued {depth} jobs")
 
 
 def assert_fleet_invariants(fleet_requests):
@@ -137,6 +175,16 @@ def test_routed_chip_result_bit_identical_including_counters(registry, client):
     assert served.backend == "chip"
     assert np.array_equal(served.class_counts(), direct.class_counts())
     assert np.array_equal(served.spike_counters, direct.spike_counters)
+
+
+def test_front_forwards_replica_bodies_byte_for_byte(fleet, client):
+    front, _ = fleet
+    home = client.fleet()["assignments"]["tea"]
+    payload = {"model": "tea", "copy_levels": [1, 2], "spf_levels": [1], "seed": 12}
+    status, _, routed = _post_raw(front.port, payload)
+    home_status, _, direct = _post_raw(int(home.rsplit(":", 1)[1]), payload)
+    assert status == home_status == 200
+    assert routed == direct
 
 
 def test_same_model_requests_stick_to_one_replica(fleet, client):
@@ -359,18 +407,8 @@ def test_fleet_saturation_sheds_429_before_any_backend_socket(registry):
             thread = threading.Thread(target=fire, args=(replica.port, index))
             thread.start()
             hung.append(thread)
-        settled = threading.Event()
-        for _ in range(200):
-            depths = [
-                ServeClient(port=replica.port, timeout=30.0).metrics()[
-                    "requests"
-                ]["queue_depth"]
-                for replica in replicas
-            ]
-            if depths == [1, 1]:
-                break
-            settled.wait(0.05)
-        assert depths == [1, 1]
+        for replica in replicas:
+            _wait_queue_depth(replica.port, 1)
 
         front.service.refresh()  # pick up the saturated drain snapshots
         before = _replica_received(replicas)
@@ -440,15 +478,7 @@ def test_per_replica_429_spills_to_the_next_preference(registry):
         thread = threading.Thread(target=fire)
         thread.start()
         hung.append(thread)
-        settled = threading.Event()
-        for _ in range(200):
-            depth = ServeClient(
-                port=ports[primary_index], timeout=30.0
-            ).metrics()["requests"]["queue_depth"]
-            if depth == 1:
-                break
-            settled.wait(0.05)
-        assert depth == 1
+        _wait_queue_depth(ports[primary_index], 1)
 
         result = client.evaluate(
             model="tea", copy_levels=[1], spf_levels=[1], seed=77
@@ -462,3 +492,161 @@ def test_per_replica_429_spills_to_the_next_preference(registry):
             replica.close()
         for thread in hung:
             thread.join(timeout=30)
+
+
+def test_replica_429_reaches_the_client_with_retry_after(registry):
+    """The only replica saturates after the front's last poll, so the front
+    proxies and the replica sheds: its 429 body and its ``Retry-After``
+    header reach the client unchanged."""
+    replica = EvalServer(registry, ServeConfig(port=0, workers=0, queue_depth=1))
+    replica.start()
+    config = FrontConfig(
+        port=0,
+        replicas=(f"127.0.0.1:{replica.port}",),
+        poll_interval=60.0,
+        request_timeout=60.0,
+    )
+    front = FrontServer(config).start()
+
+    def fire():
+        try:
+            ServeClient(port=replica.port, timeout=60.0).evaluate(model="tea")
+        except ServeError:
+            pass
+
+    hung = threading.Thread(target=fire)
+    try:
+        hung.start()
+        _wait_queue_depth(replica.port, 1)
+        status, headers, body = _post_raw(front.port, {"model": "tea", "seed": 99})
+        assert status == 429
+        detail = json.loads(body)["error"]
+        assert detail["type"] == "overloaded"
+        assert headers["Retry-After"] == str(detail["retry_after"])
+    finally:
+        front.close()
+        replica.close()
+        hung.join(timeout=30)
+    assert not hung.is_alive()
+
+
+# ----------------------------------------------------------------------
+# torn answers: a replica that hangs up mid-body
+# ----------------------------------------------------------------------
+class _TornHandler(BaseHTTPRequestHandler):
+    """GETs answer from ``server.canned`` (a path missing there is torn);
+    every ``POST`` promises 1000 body bytes, sends 11 and hangs up."""
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass
+
+    def _answer(self, body, length):
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        canned = self.server.canned.get(self.path)
+        if canned is None:
+            self._answer(b'{"status": ', 1000)
+        else:
+            body = json.dumps(canned).encode("utf-8")
+            self._answer(body, len(body))
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self._answer(b'{"result": ', 1000)
+
+
+class _TornReplica(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self, canned):
+        super().__init__(("127.0.0.1", 0), _TornHandler)
+        self.canned = canned
+        self.port = self.server_address[1]
+        self.name = f"127.0.0.1:{self.port}"
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
+
+    def close(self):
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=10)
+
+
+@pytest.fixture
+def torn_home(registry):
+    """A healthy replica, and a torn one the ring makes the home of "tea"."""
+    healthy = EvalServer(registry, ServeConfig(port=0, workers=2, queue_depth=16))
+    healthy.start()
+    direct = ServeClient(port=healthy.port, timeout=60.0)
+    canned = {
+        "/healthz": direct.health(),
+        "/metrics": direct.metrics(),
+        "/v1/models": direct.models(),
+    }
+    fingerprint = next(
+        model_fingerprint(entry)
+        for entry in canned["/v1/models"]["models"]
+        if entry["name"] == "tea"
+    )
+    healthy_name = f"127.0.0.1:{healthy.port}"
+    # Rendezvous weights hash "host:port": rebind until the torn one wins.
+    for _ in range(64):
+        torn = _TornReplica(canned)
+        if ReplicaRing([torn.name, healthy_name]).route(fingerprint) == torn.name:
+            break
+        torn.close()
+    try:
+        yield torn, healthy
+    finally:
+        torn.close()
+        healthy.close()
+
+
+def test_torn_replica_answer_fails_over_and_is_ejected(torn_home):
+    """The torn answer's ``IncompleteRead`` is no ``OSError``: it used to
+    escape the proxy, kill the handler thread and drop the client socket."""
+    torn, healthy = torn_home
+    config = FrontConfig(
+        port=0,
+        replicas=(torn.name, f"127.0.0.1:{healthy.port}"),
+        poll_interval=60.0,  # no re-poll: the ejection must come from the proxy
+        request_timeout=60.0,
+    )
+    payload = {"model": "tea", "copy_levels": [1, 2], "spf_levels": [1], "seed": 41}
+    with FrontServer(config) as front:
+        client = ServeClient(port=front.port, timeout=60.0)
+        assert client.fleet()["assignments"]["tea"] == torn.name
+        status, _, routed = _post_raw(front.port, payload)
+        assert status == 200
+        assert routed == _post_raw(healthy.port, payload)[2]
+        view = {entry["name"]: entry for entry in client.fleet()["replicas"]}
+        assert not view[torn.name]["healthy"]
+        assert view[torn.name]["ejections"] == 1
+        assert view[torn.name]["proxy_failures"] == 1
+        assert front.service.failovers == 1
+
+
+def test_client_torn_answer_is_unavailable_then_falls_back(torn_home):
+    torn, healthy = torn_home
+    with pytest.raises(ServiceUnavailableError):
+        ServeClient(port=torn.port, timeout=60.0).evaluate(model="tea", seed=42)
+    fallback = [("127.0.0.1", healthy.port)]
+    client = ServeClient(port=torn.port, timeout=60.0, fallbacks=fallback)
+    served = client.evaluate(model="tea", seed=42)
+    direct = ServeClient(port=healthy.port, timeout=60.0).evaluate(model="tea", seed=42)
+    assert served.scores.tobytes() == direct.scores.tobytes()
+
+
+def test_torn_probe_answer_is_a_failed_poll(torn_home):
+    """A torn ``/healthz`` used to raise out of ``refresh`` and so end the
+    poller thread; it must count as one failed probe."""
+    torn, _ = torn_home
+    torn.canned = {}
+    service = FrontService(FrontConfig(replicas=(torn.name,), eject_after=1))
+    service.refresh()
+    assert service.health()["healthy"] == 0

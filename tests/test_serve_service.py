@@ -10,6 +10,7 @@ invariants at all times.
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.serve import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
+from repro.serve.handlers import _JsonHandler
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +275,39 @@ def test_unknown_route_is_a_404(client):
     with pytest.raises(ServeError) as excinfo:
         client._call("GET", "/v2/evaluate")
     assert excinfo.value.status == 404
+
+
+# ----------------------------------------------------------------------
+# peers that stall or hang up mid-request
+# ----------------------------------------------------------------------
+#: A request promising 100 body bytes that sends only the first one.
+_SHORT_POST = (
+    b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+    b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{"
+)
+
+
+def test_stalled_peer_is_dropped_while_others_are_served(server, client, monkeypatch):
+    """Without a socket timeout the stalled peer held its handler thread
+    until it hung up itself."""
+    assert 0 < _JsonHandler.timeout <= 60
+    monkeypatch.setattr(_JsonHandler, "timeout", 0.5)
+    address = ("127.0.0.1", server.port)
+    with socket.create_connection(address, timeout=10.0) as stalled:
+        stalled.sendall(_SHORT_POST)
+        result = client.evaluate(model="tea", copy_levels=[1], spf_levels=[1], seed=3)
+        assert result.seed == 3
+        assert stalled.recv(1024) == b""  # closed, and nothing answered
+
+
+def test_body_cut_short_is_not_answered(server):
+    """A peer that hangs up mid-body used to get its one byte parsed and
+    answered 400 (a ``BrokenPipeError`` once the socket was fully closed)."""
+    address = ("127.0.0.1", server.port)
+    with socket.create_connection(address, timeout=10.0) as peer:
+        peer.sendall(_SHORT_POST)
+        peer.shutdown(socket.SHUT_WR)
+        assert peer.recv(1024) == b""
 
 
 # ----------------------------------------------------------------------
