@@ -18,12 +18,13 @@ passes), again enforcing bit-identical per-copy class counts and per-core
 spike counters.  Both records land in the same JSON file.
 
 A third section (``--grid``) times a full ``(copies, spf, repeats)``
-**grid sweep**: the repeat-folded single-pass path (all repeats' copies in
-one chip image, one pass per spf level, every copy level an exact cumsum
-prefix — the engine behind :class:`repro.api.backends.ChipBackend`)
-against the per-cell loop (one ``c``-copy program + pass per (copy level,
-spf, repeat) grid cell), enforcing bit-identical class counts and spike
-counters and recording ``grid_speedup``.
+**grid sweep**: the single-pass path (all repeats' copies in one chip
+image, one max-spf pass with every spf level read off the run, every copy
+level an exact cumsum prefix — what :class:`repro.api.backends.ChipBackend`
+does for a deterministic grid) against the per-cell loop (one ``c``-copy
+program + pass per (copy level, spf, repeat) grid cell), enforcing
+bit-identical class counts and spike counters and recording
+``grid_speedup``.
 
 A fourth section (``--board``) times the **multi-chip board** engine at a
 fixed copy count while the board grows: the same copies packed onto one
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 
@@ -60,6 +62,10 @@ from repro.mapping.pipeline import (
     run_chip_inference_batch,
     run_chip_inference_multicopy,
 )
+
+#: BLAS thread settings recorded in the record's config: speedup ratios are
+#: comparable only at the same setting (CI pins all three to 1).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_args() -> argparse.Namespace:
@@ -88,14 +94,14 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--grid",
         action="store_true",
-        help="also benchmark the repeat-folded grid sweep vs the cell loop",
+        help="also benchmark the one-pass grid sweep vs the cell loop",
     )
     parser.add_argument(
         "--grid-repeats",
         type=int,
         default=8,
         help="repeats axis of the --grid sweep (the folded pass stacks all "
-        "repeats' copies into one chip image per spf level)",
+        "repeats' copies into one chip image)",
     )
     parser.add_argument(
         "--grid-copies",
@@ -212,6 +218,7 @@ def main() -> None:
             "router_delay": chip.router.delay,
             "quick": bool(args.quick),
             "batch_repeats": args.batch_repeats,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         },
         "loop_seconds": loop_seconds,
         "batch_seconds": batch_seconds,
@@ -417,22 +424,25 @@ def bench_grid(
 
     The cell loop evaluates every cell of the grid independently — one
     ``program_chip_multicopy`` + inference pass per (copy level, spf level,
-    repeat) cell, ``c`` copies programmed for copy level ``c`` — which is
-    what a sweep costs without the cumsum prefix reuse and repeat folding.
-    The grid side programs all repeats' copies side by side and serves the
-    whole grid from one folded pass per spf level, exactly as
-    :class:`repro.api.backends.ChipBackend` does.  Both sides start from
-    the same prepared deployments and encoded volumes (that per-(spf,
-    repeat) preparation is identical either way, drawn from the canonical
-    ``spawn_rngs`` randomness layout the backend clones per level), so the
-    timings isolate the chip engine.  Class counts of every grid cell and
-    per-copy spike counters at the max spf level are compared bit for bit.
+    repeat) cell, ``c`` copies programmed for copy level ``c``, each spf
+    level encoded on its own — which is what a sweep costs without the
+    cumsum prefix reuse, repeat folding and level readout.  The grid side
+    programs all repeats' copies side by side once and reads the whole
+    grid off one max-spf pass, exactly as
+    :class:`repro.api.backends.ChipBackend` does for a deterministic grid.
+    Both sides start from the same prepared deployments and encoded
+    volumes, drawn from the canonical ``spawn_rngs`` randomness layout
+    (the lower levels' volumes are prefixes of the max level's), so the
+    timings isolate the chip engine.  Since every cell runs standalone,
+    the cell loop is an independent oracle for the level readout: class
+    counts of every grid cell and per-copy spike counters at the max spf
+    level are compared bit for bit.
     """
     from repro.mapping.corelet import build_corelets
     from repro.utils.rng import new_rng, spawn_rngs
 
     network = build_corelets(model)
-    prepared = []  # per level: [(deployment, (ticks, batch, input)), ...]
+    prepared = []  # per level: [(deployment, (batch, ticks, input)), ...]
     for spf in spf_levels:
         encoder = StochasticEncoder(spikes_per_frame=spf)
         level = []
@@ -472,20 +482,21 @@ def bench_grid(
         return np.stack(counts, axis=2), counters
 
     def grid_pass():
-        counts, counters = [], None
-        for level in prepared:
-            flat = [copy for deployment, _ in level for copy in deployment.copies]
-            volumes = np.stack([vol for _, vol in level])
-            chip, core_ids = program_chip_multicopy(flat)
-            raw = run_chip_inference_multicopy(chip, flat, core_ids, volumes)
-            raw = raw.reshape((repeats, copies) + raw.shape[1:])
-            counts.append(np.cumsum(raw, axis=1))
-            order = [k for layer in core_ids for k in layer]
-            stacked = np.stack(
-                [chip.core(k).multicopy_spike_counts for k in order], axis=1
-            )
-            counters = stacked.reshape((repeats, copies) + stacked.shape[1:])
-        return np.stack(counts, axis=2), counters
+        level = prepared[-1]  # max spf: every lower level is a prefix
+        flat = [copy for deployment, _ in level for copy in deployment.copies]
+        volumes = np.stack([vol for _, vol in level])
+        chip, core_ids = program_chip_multicopy(flat)
+        raw = run_chip_inference_multicopy(
+            chip, flat, core_ids, volumes, levels=spf_levels
+        )
+        raw = raw.reshape((len(spf_levels), repeats, copies) + raw.shape[2:])
+        # (levels, R, C, batch, classes) -> (R, C, levels, batch, classes)
+        counts = np.cumsum(raw, axis=2).transpose(1, 2, 0, 3, 4)
+        order = [k for layer in core_ids for k in layer]
+        stacked = np.stack(
+            [chip.core(k).multicopy_spike_counts for k in order], axis=1
+        )
+        return counts, stacked.reshape((repeats, copies) + stacked.shape[1:])
 
     def best(pass_fn):
         result, times = None, []

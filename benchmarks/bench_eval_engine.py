@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 
@@ -27,6 +28,10 @@ from repro.eval.engine import VectorizedEvaluator, evaluate_scores_reference
 from repro.experiments.runner import ExperimentContext
 from repro.mapping.corelet import build_corelets
 from repro.mapping.duplication import deploy_with_copies
+
+#: BLAS thread settings recorded in the record's config: speedup ratios are
+#: comparable only at the same setting (CI pins all three to 1).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_args() -> argparse.Namespace:
@@ -107,6 +112,7 @@ def main() -> None:
             "features": int(dataset.features.shape[1]),
             "cores_per_copy": network.core_count,
             "quick": bool(args.quick),
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         },
         "loop_seconds": loop_seconds,
         "engine_seconds": engine_seconds,

@@ -12,9 +12,12 @@ records carrying two kinds of gateable facts:
   speedup below ``baseline / --max-regression`` (default 2x) fails.
 
 Baselines live in ``benchmarks/baselines/`` and are generated with the
-exact flags the CI bench job uses (``--quick`` mode).  To refresh them
-after an intentional perf change::
+exact flags and BLAS thread settings the CI bench job uses (``--quick``
+mode, one BLAS thread: on a 2-core runner default OpenBLAS threading
+drops the eval speedup below half its one-thread value).  To refresh
+them after an intentional perf change::
 
+    export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
     PYTHONPATH=src python benchmarks/bench_eval_engine.py --quick \
         --output BENCH_eval.json
     PYTHONPATH=src python benchmarks/bench_chip_engine.py --quick \
@@ -152,9 +155,15 @@ def check_pair(
     except (OSError, json.JSONDecodeError) as error:
         return [f"{fresh_path}: unreadable fresh record ({error})"], ratios
 
-    # Ratio comparisons only mean something when the workloads match.
+    # Ratio comparisons only mean something when the workloads match.  As
+    # everywhere in compare_nodes, a fresh key the baseline predates (e.g.
+    # config.blas_threads) gates only once it lands in the baseline.
     base_config = baseline.get("config") if isinstance(baseline, dict) else None
     fresh_config = fresh.get("config") if isinstance(fresh, dict) else None
+    if isinstance(base_config, dict) and isinstance(fresh_config, dict):
+        fresh_config = {
+            key: value for key, value in fresh_config.items() if key in base_config
+        }
     if base_config != fresh_config:
         problems.append(
             f"{fresh_path}: benchmark config differs from baseline "

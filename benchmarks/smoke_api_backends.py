@@ -111,7 +111,7 @@ def main() -> None:
                     f"multi-copy chip spike counters diverged from the "
                     f"per-copy loop ({label})"
                 )
-        # Grid path: a multi-spf request (one folded pass per level) must
+        # Grid path: a multi-spf request (one max-spf pass, level readout) must
         # match the stack of single-level requests cell for cell.
         grid_request = replace(request, spf_levels=tuple(sorted({1, args.spf})))
         grid = session.evaluate(grid_request, backend="chip")

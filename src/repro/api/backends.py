@@ -14,13 +14,14 @@ Four backends wrap the repo's evaluation engines behind one
 * ``chip`` — the batched cycle-accurate TrueNorth simulator
   (:func:`repro.mapping.pipeline.run_chip_inference_multicopy`): all
   deployed copies of **all repeats** programmed side by side into one
-  multi-copy chip image per spf level, lock-step ticks over
-  ``repeats x copies x batch`` rows, per-core spike counters,
-  router-delay control, and stochastic-synapse sweeps on per-copy LFSR
-  streams.  Full ``(copies, spf, repeats)`` grids are served in
-  ``len(spf_levels)`` passes (one folded pass per level, optionally
-  fanned over worker processes); copy and repeat levels fall out of one
-  pass via exact integer cumsums.  ``ChipBackend(multicopy=False)``
+  multi-copy chip image, lock-step ticks over ``repeats x copies x batch``
+  rows, per-core spike counters, router-delay control, and
+  stochastic-synapse sweeps on per-copy LFSR streams.  A deterministic
+  ``(copies, spf, repeats)`` grid is served in **one** pass that runs
+  ``max(spf_levels)`` ticks and reads every spf level off the run (level
+  readout); stochastic-synapse grids take one pass per spf level,
+  optionally fanned over worker processes.  Copy and repeat levels fall
+  out of one pass via exact integer cumsums.  ``ChipBackend(multicopy=False)``
   keeps the bit-identical one-chip-per-copy loop the property tests pin
   the engine against.
 * ``board`` — the multi-chip board mesh
@@ -28,8 +29,11 @@ Four backends wrap the repo's evaluation engines behind one
   duplication sweeps whose core footprint overflows one chip spill onto a
   mesh of chips, boundary-crossing spikes pay a configurable per-hop link
   delay, and ``workers=N`` shards each pass over its placement segments
-  (one worker per simulated chip group).  On a 1x1 board with ideal
-  links it is bit-identical to ``chip``.
+  (one worker per simulated chip group).  Each repeat is one pass that
+  reads every spf level off the run when all spike paths share one
+  latency (``link_delay == 0`` or no split copy); otherwise, and for
+  stochastic synapses, each (spf level, repeat) is its own pass.  On a
+  1x1 board with ideal links it is bit-identical to ``chip``.
 
 All four consume the canonical randomness layout documented in
 :mod:`repro.api.protocol`, so a request produces the same sampled
@@ -64,6 +68,7 @@ from repro.mapping.duplication import DuplicatedDeployment, deploy_with_copies
 from repro.mapping.placement import place_on_board
 from repro.mapping.pipeline import (
     board_spike_counters,
+    paths_share_one_latency,
     program_board_multicopy,
     program_chip,
     program_chip_multicopy,
@@ -147,8 +152,8 @@ def _result_from_cumulative(
     class-mean scores against the labels) identical across backends.
 
     ``spf_axis_levels`` names the spf levels the tensors' second axis holds
-    when it is not the dense ``1..max_spf`` range (the chip backend reports
-    a single level with a singleton axis).
+    when it is not the dense ``1..max_spf`` range (the chip and board
+    backends hold exactly the requested levels).
 
     Raises:
         ResultShapeError: when the copies axis of the cumulative tensors or
@@ -338,10 +343,30 @@ class ReferenceBackend:
         )
 
 
+def _level_groups(
+    spf_levels: Tuple[int, ...], one_pass: bool
+) -> List[Tuple[int, ...]]:
+    """The spf levels each pass reads: all of them, or one per pass."""
+    return [spf_levels] if one_pass else [(spf,) for spf in spf_levels]
+
+
+def _cumulative_scores(counts: np.ndarray, n_k: np.ndarray) -> List[np.ndarray]:
+    """Per-repeat class-mean score tensors from per-level readout counts.
+
+    ``counts`` is ``(levels, repeats, copies, batch, classes)``.  Copy
+    levels are nested prefixes, so an exact integer cumsum over the copies
+    axis serves every copy level.  Each repeat's tensor comes back as
+    ``(copies, levels, batch, classes)``; the integer counts stay exactly
+    recoverable through :meth:`EvalResult.class_counts`.
+    """
+    scores = np.cumsum(counts, axis=2).astype(float) / n_k
+    return [scores[:, repeat].swapaxes(0, 1) for repeat in range(counts.shape[1])]
+
+
 def _evaluate_chip_level(
     model: TrueNorthModel,
     features: np.ndarray,
-    spf: int,
+    spf_levels: Tuple[int, ...],
     repeat_rngs: List[np.random.Generator],
     network: CoreletNetwork,
     max_copies: int,
@@ -350,23 +375,28 @@ def _evaluate_chip_level(
     collect_counters: bool,
     router_delay: Optional[int],
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One spf level of a chip grid: all repeats folded into one pass.
+    """One chip pass: ``spf_levels`` read off one max-spf run, repeats folded.
 
     Module-level (not a method) so :func:`repro.eval.runner.parallel_map`
-    can pickle it into worker processes — the chip backend shards over spf
-    levels, whose passes are fully independent (each clones the pristine
-    per-repeat generators, see :func:`repro.utils.rng.clone_rng`).
+    can pickle it into worker processes.  Each pass clones the pristine
+    per-repeat generators (see :func:`repro.utils.rng.clone_rng`), deploys
+    and encodes ``max(spf_levels)`` frames once per repeat, programs the
+    chip once, and reads every level off the one run (level readout, see
+    :mod:`repro.mapping.pipeline`).  The frames of a smaller spf are a
+    prefix of the encoded volume, so each level equals a standalone pass
+    at that spf.
 
     Returns ``(counts, counters)`` with ``counts`` shaped
-    ``(repeats, max_copies, batch, classes)`` (integer readout counts) and
-    ``counters`` shaped ``(repeats, max_copies, cores_per_copy, batch)`` or
-    ``None``.  In multicopy mode the ``repeats * max_copies`` copies of all
-    repeats are programmed side by side into **one** chip image and the
-    stacked per-repeat input volumes ride the chip's grouped-input form
-    (repeat ``r``'s volume feeds exactly its block of ``max_copies``
-    copy rows); ``multicopy=False`` keeps the one-chip-per-copy loop.
+    ``(len(spf_levels), repeats, max_copies, batch, classes)`` (integer
+    readout counts) and ``counters`` — those of the largest level — shaped
+    ``(repeats, max_copies, cores_per_copy, batch)`` or ``None``.  In
+    multicopy mode the ``repeats * max_copies`` copies of all repeats are
+    programmed side by side into **one** chip image and the stacked
+    per-repeat input volumes ride the chip's grouped-input form (repeat
+    ``r``'s volume feeds exactly its block of ``max_copies`` copy rows);
+    ``multicopy=False`` keeps the one-chip-per-copy loop.
     """
-    encoder = StochasticEncoder(spikes_per_frame=spf)
+    encoder = StochasticEncoder(spikes_per_frame=spf_levels[-1])
     neuron_config = stochastic_neuron_config(network) if stochastic else None
     repeats = len(repeat_rngs)
     deployments: List[DuplicatedDeployment] = []
@@ -385,6 +415,8 @@ def _evaluate_chip_level(
             # Drawn after deployment and encoding so deterministic requests
             # keep their exact historical streams; identical in both chip
             # modes, which is what keeps them bit-identical to each other.
+            # The draw depends on how many frames were encoded, which is
+            # why stochastic requests take one pass per spf level.
             # Sampled *without* replacement — the LFSR seed space is only
             # 16 bits, and two copies sharing a seed would replay
             # byte-identical streams, silently collapsing the
@@ -404,7 +436,12 @@ def _evaluate_chip_level(
             flat_copies, neuron_config=neuron_config, router_delay=router_delay
         )
         counts = run_chip_inference_multicopy(
-            chip, flat_copies, core_ids, np.stack(volumes), copy_seeds=copy_seeds
+            chip,
+            flat_copies,
+            core_ids,
+            np.stack(volumes),
+            copy_seeds=copy_seeds,
+            levels=spf_levels,
         )
         counters = None
         if collect_counters:
@@ -416,7 +453,8 @@ def _evaluate_chip_level(
             counters = stacked.reshape(
                 (repeats, max_copies) + stacked.shape[1:]
             )
-        return counts.reshape(repeats, max_copies, batch, -1), counters
+        shape = (len(spf_levels), repeats, max_copies, batch, -1)
+        return counts.reshape(shape), counters
     per_repeat_counts: List[np.ndarray] = []
     per_repeat_counters: List[np.ndarray] = []
     for index, deployment in enumerate(deployments):
@@ -432,7 +470,9 @@ def _evaluate_chip_level(
                 else copy_seeds[index * max_copies + offset],
             )
             per_copy_counts.append(
-                run_chip_inference_batch(chip, copy, core_ids, volumes[index])
+                run_chip_inference_batch(
+                    chip, copy, core_ids, volumes[index], levels=spf_levels
+                )
             )
             if collect_counters:
                 flat_ids = [cid for layer in core_ids for cid in layer]
@@ -441,11 +481,11 @@ def _evaluate_chip_level(
                         [chip.core(cid).batch_spike_counts for cid in flat_ids]
                     )
                 )
-        per_repeat_counts.append(np.stack(per_copy_counts))
+        per_repeat_counts.append(np.stack(per_copy_counts, axis=1))
         if collect_counters:
             per_repeat_counters.append(np.stack(per_copy_counters))
     return (
-        np.stack(per_repeat_counts),
+        np.stack(per_repeat_counts, axis=1),
         np.stack(per_repeat_counters) if collect_counters else None,
     )
 
@@ -463,8 +503,8 @@ class ChipBackend:
     block of copy rows).  ``multicopy=False`` keeps the one-chip-per-copy
     loop — bit-identical results (class counts, per-core spike counters,
     and in stochastic mode the LFSR streams; the property tests enforce
-    it), just ``repeats x copies`` chip programs and tick loops instead of
-    ``len(spf_levels)``.
+    it), just ``repeats x copies`` chip programs and tick loops per pass
+    instead of one.
 
     ``stochastic_synapses`` requests deploy the corelets' Bernoulli
     probabilities onto the crossbars and re-sample every synapse per tick;
@@ -472,25 +512,30 @@ class ChipBackend:
     (copies, spf, repeats) stochastic sweeps run at batch speed with
     hardware semantics.
 
-    Full grids are served in ``len(spf_levels)`` passes (``spf_grids``
-    capability): spike-train realizations differ per spf level, so levels
-    cannot share one pass, but they are fully independent — each level
-    re-consumes the pristine per-repeat generators (:func:`repro.utils.rng.clone_rng`),
-    and ``workers=N`` fans the levels over worker processes
-    (:func:`repro.eval.runner.parallel_map`), bit-identical at any worker
-    count.  Copy and repeat levels fall out of one pass: copy levels are
-    nested prefixes via an exact integer cumsum over the per-copy readout
-    counts, repeats are independent rows of the folded image.  Scores are
-    the class-mean convention ``counts / n_k``, so
-    :meth:`EvalResult.class_counts` recovers the chip's integer readout
+    Full grids (``spf_grids`` capability) are planned from the request.  A
+    deterministic request takes **one pass for all spf levels**: the pass
+    runs ``max(spf_levels)`` input ticks and reads each level off the run
+    (level readout, exact because every route on one chip has the same
+    latency — see :mod:`repro.mapping.pipeline`).  A stochastic-synapse
+    request takes **one pass per spf level**, because its per-copy LFSR
+    seeds are drawn after encoding and so differ per level.  Per-level
+    passes are independent — each re-consumes the pristine per-repeat
+    generators (:func:`repro.utils.rng.clone_rng`) — and ``workers=N``
+    fans them over worker processes (:func:`repro.eval.runner.parallel_map`),
+    bit-identical at any worker count.  Copy and repeat levels fall out of
+    one pass: copy levels are nested prefixes via an exact integer cumsum
+    over the per-copy readout counts, repeats are independent rows of the
+    folded image.  Scores are the class-mean convention ``counts / n_k``,
+    so :meth:`EvalResult.class_counts` recovers the chip's integer readout
     counts exactly — the cross-backend invariant the property tests assert
     against the vectorized backend.
 
     Args:
-        multicopy: fold copies (and repeats) into one chip image per spf
-            level; ``False`` keeps the one-chip-per-copy loop.
-        workers: fan the independent spf-level passes over N processes
-            (``None`` = in-process, sequential).
+        multicopy: fold copies (and repeats) into one chip image per pass;
+            ``False`` keeps the one-chip-per-copy loop.
+        workers: fan per-level (stochastic) passes over N processes
+            (``None`` = in-process, sequential); a one-pass grid runs
+            in-process.
         cores_per_chip: advertised core budget of the one simulated chip
             (default: a stock TrueNorth chip's 64x64 grid).  Requests whose
             ``max_copies x cores_per_network`` footprint overflows it are
@@ -521,12 +566,13 @@ class ChipBackend:
             name=self.name,
             description=(
                 "batched cycle-accurate TrueNorth simulation (repeat-folded "
-                "multi-copy chip images, one pass per spf level, spike "
-                "counters, router delay, stochastic synapses)"
+                "multi-copy chip images, deterministic grids read off one "
+                "max-spf pass, spike counters, router delay, stochastic "
+                "synapses)"
                 if self.multicopy
                 else "batched cycle-accurate TrueNorth simulation (one chip "
-                "per copy, one pass per spf level, spike counters, router "
-                "delay, stochastic synapses)"
+                "per copy, deterministic grids read off one max-spf pass, "
+                "spike counters, router delay, stochastic synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
@@ -543,13 +589,13 @@ class ChipBackend:
         n_k = class_neuron_counts(network)
         self.passes += 1
         repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
-        level_results = parallel_map(
+        results = parallel_map(
             _evaluate_chip_level,
             [
                 (
                     request.model,
                     evaluation.features,
-                    spf,
+                    levels,
                     repeat_rngs,
                     network,
                     request.max_copies,
@@ -558,36 +604,23 @@ class ChipBackend:
                     request.collect_spike_counters,
                     request.router_delay,
                 )
-                for spf in request.spf_levels
+                for levels in _level_groups(
+                    request.spf_levels, not request.stochastic_synapses
+                )
             ],
             self.workers,
         )
-        tensors: List[np.ndarray] = []
-        for repeat in range(request.repeats):
-            stacked = np.stack(
-                [
-                    np.cumsum(counts[repeat], axis=0)
-                    for counts, _ in level_results
-                ],
-                axis=1,
-            )
-            # (max_copies, n_levels, batch, classes) ints -> class-mean
-            # score tensor; the integer counts stay exactly recoverable
-            # through EvalResult.class_counts().
-            tensors.append(stacked.astype(float) / n_k)
-        spike_counters = None
-        if request.collect_spike_counters:
-            # spf_levels is sorted ascending; the counters of the largest
-            # level are the ones a single-level request at max_spf reports.
-            spike_counters = level_results[-1][1]
+        counts = np.concatenate([level_counts for level_counts, _ in results])
         return _result_from_cumulative(
             request,
             self.name,
-            tensors,
+            _cumulative_scores(counts, n_k),
             evaluation,
             n_k,
             network.core_count,
-            spike_counters=spike_counters,
+            # spf_levels ascends, so the last pass holds the counters a
+            # single-level request at max_spf reports.
+            spike_counters=results[-1][1],
             spf_axis_levels=request.spf_levels,
         )
 
@@ -595,7 +628,7 @@ class ChipBackend:
 def _evaluate_board_pass(
     model: TrueNorthModel,
     features: np.ndarray,
-    spf: int,
+    spf_levels: Tuple[int, ...],
     repeat_rng: np.random.Generator,
     network: CoreletNetwork,
     max_copies: int,
@@ -605,26 +638,28 @@ def _evaluate_board_pass(
     board_config: BoardConfig,
     segment_indices: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One (spf, repeat[, placement segment]) pass over a board.
+    """One board pass of one repeat (and placement segment), all ``spf_levels``.
 
     Module-level so :func:`repro.eval.runner.parallel_map` can pickle it
     into worker processes.  The per-repeat randomness discipline is exactly
     :func:`_evaluate_chip_level`'s — clone the pristine repeat generator,
-    deploy ``max_copies`` copies, encode the spike volume, then (stochastic
-    mode) draw the per-copy LFSR seeds — so a 1x1 board with ideal links
-    reproduces the chip backend bit for bit, and every worker of a sharded
-    pass replays identical streams.
+    deploy ``max_copies`` copies, encode ``max(spf_levels)`` frames, then
+    (stochastic mode) draw the per-copy LFSR seeds — so a 1x1 board with
+    ideal links reproduces the chip backend bit for bit, and every worker
+    of a sharded pass replays identical streams.  The board is programmed
+    once and every level is read off the one run (level readout, see
+    :mod:`repro.mapping.pipeline`).
 
     ``segment_indices`` restricts programming (and hence simulation) to a
     subset of the deterministic placement's segments at their original
     board chip indices; the returned counts/counters are zero outside the
     segment's copies, so a fan-out over all segments merges by summation.
 
-    Returns ``(counts, counters)``: ``(max_copies, batch, classes)`` integer
-    readout counts and ``(max_copies, cores_per_copy, batch)`` spike
-    counters (or ``None``).
+    Returns ``(counts, counters)``: ``(len(spf_levels), max_copies, batch,
+    classes)`` integer readout counts and the largest level's
+    ``(max_copies, cores_per_copy, batch)`` spike counters (or ``None``).
     """
-    encoder = StochasticEncoder(spikes_per_frame=spf)
+    encoder = StochasticEncoder(spikes_per_frame=spf_levels[-1])
     neuron_config = stochastic_neuron_config(network) if stochastic else None
     level_rng = clone_rng(repeat_rng)
     deployment = deploy_with_copies(
@@ -650,7 +685,12 @@ def _evaluate_board_pass(
         segment_indices=segment_indices,
     )
     counts = run_board_inference_multicopy(
-        board, deployment.copies, program, volume, copy_seeds=copy_seeds
+        board,
+        deployment.copies,
+        program,
+        volume,
+        copy_seeds=copy_seeds,
+        levels=spf_levels,
     )
     counters = (
         board_spike_counters(board, deployment.copies, program)
@@ -673,9 +713,15 @@ class BoardBackend:
     (:class:`repro.board.board.Board`, exact latency model asserted).
 
     Unlike the chip backend, repeats are *not* folded into one image:
-    every ``(spf level, repeat)`` is one board pass (placement depends
-    only on the copy count, so all passes share one deterministic
-    placement).  On a 1x1 board with ideal links each pass is
+    every repeat is its own board pass (placement depends only on the
+    copy count, so all passes share one deterministic placement).  The
+    spf levels are planned as on the chip.  A deterministic request reads
+    **all levels off one pass per repeat** when every spike path has one
+    latency: ``link_delay == 0``, or no copy is split (whole copies never
+    touch a link).  Stochastic-synapse requests, and split copies at
+    ``link_delay > 0`` — whose paths differ in hop count, so one run mixes
+    spike waves of different input ticks — take **one pass per (spf
+    level, repeat)**.  On a 1x1 board with ideal links each pass is
     bit-identical to the single-chip engine, which transfers the chip
     backend's equivalence guarantees to the board (the property tests pin
     it).
@@ -723,7 +769,8 @@ class BoardBackend:
             description=(
                 "cycle-accurate multi-chip board mesh (copies spill across "
                 "chips, split copies hand off at chip edges, mesh link "
-                "delays, spike counters, stochastic synapses)"
+                "delays, spf levels read off one pass per repeat, spike "
+                "counters, stochastic synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
@@ -759,15 +806,19 @@ class BoardBackend:
                 chip_config=board_config.chip_config,
                 link_delay=int(request.link_delay),
             )
+        # The placement is a pure function of (network, copies, board): it
+        # tells whether a copy is split, and the parent and every worker
+        # compute the same segments.
+        placement = place_on_board(network, request.max_copies, board_config)
+        level_groups = _level_groups(
+            request.spf_levels,
+            paths_share_one_latency(placement, board_config.link_delay)
+            and not request.stochastic_synapses,
+        )
         segment_lists: List[Optional[Tuple[int, ...]]]
         if self.workers is None:
             segment_lists = [None]
         else:
-            # The placement is a pure function of (network, copies, board),
-            # so the parent and every worker compute the same segments.
-            placement = place_on_board(
-                network, request.max_copies, board_config
-            )
             segment_lists = [
                 (index,) for index in range(len(placement.segments))
             ]
@@ -775,7 +826,7 @@ class BoardBackend:
             (
                 request.model,
                 evaluation.features,
-                spf,
+                levels,
                 repeat_rng,
                 network,
                 request.max_copies,
@@ -785,47 +836,40 @@ class BoardBackend:
                 board_config,
                 segments,
             )
-            for spf in request.spf_levels
+            for levels in level_groups
             for repeat_rng in repeat_rngs
             for segments in segment_lists
         ]
         shards = parallel_map(_evaluate_board_pass, tasks, self.workers)
-        # Regroup the flat (spf, repeat, segment) results; segments of one
-        # pass merge by summation (each is zero outside its own copies).
+        # Merge each pass's segments by summation (each is zero outside its
+        # own copies); passes come back (level group, repeat)-major.
         per_pass = len(segment_lists)
-        tensors: List[List[np.ndarray]] = [[] for _ in range(request.repeats)]
-        counters_by_repeat: List[Optional[np.ndarray]] = [None] * request.repeats
-        for spf_index in range(len(request.spf_levels)):
-            for repeat in range(request.repeats):
-                base = (spf_index * request.repeats + repeat) * per_pass
-                counts = shards[base][0].copy()
-                counters = shards[base][1]
-                for offset in range(1, per_pass):
-                    counts += shards[base + offset][0]
-                    if counters is not None:
-                        counters = counters + shards[base + offset][1]
-                tensors[repeat].append(counts)
-                if request.collect_spike_counters:
-                    # spf_levels ascends; keep the largest level's counters,
-                    # matching the chip backend's convention.
-                    counters_by_repeat[repeat] = counters
-        cumulative = [
-            np.stack(
-                [np.cumsum(level_counts, axis=0) for level_counts in levels],
-                axis=1,
-            ).astype(float)
-            / n_k
-            for levels in tensors
-        ]
+        results: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+        for base in range(0, len(shards), per_pass):
+            merged, counters = shards[base][0].copy(), shards[base][1]
+            for part, part_counters in shards[base + 1 : base + per_pass]:
+                merged += part
+                if counters is not None:
+                    counters = counters + part_counters
+            results.append((merged, counters))
+        repeats = request.repeats
+        counts = np.concatenate(
+            [
+                np.stack([c for c, _ in results[base : base + repeats]], axis=1)
+                for base in range(0, len(results), repeats)
+            ]
+        )  # (levels, repeats, copies, batch, classes)
         spike_counters = None
         if request.collect_spike_counters:
+            # spf_levels ascends; keep the largest level's counters,
+            # matching the chip backend's convention.
             spike_counters = np.stack(
-                [np.asarray(c) for c in counters_by_repeat]
+                [np.asarray(c) for _, c in results[-repeats:]]
             )
         return _result_from_cumulative(
             request,
             self.name,
-            cumulative,
+            _cumulative_scores(counts, n_k),
             evaluation,
             n_k,
             network.core_count,

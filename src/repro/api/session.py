@@ -233,7 +233,9 @@ class Session:
             sessions, processes, and restarts.
         cache_max_bytes: size bound for ``cache_dir`` (mtime-LRU eviction).
         workers: fan independent passes over N processes (vectorized:
-            per-repeat passes; chip: per-spf-level grid passes).
+            per-repeat passes; chip: per-spf-level passes of
+            stochastic-synapse grids, since a deterministic grid is one
+            pass; board: per-repeat passes and placement segments).
         result_memo: result-level memo consulted (and filled) by
             :meth:`flush` for deterministic requests on *every* backend;
             share one :class:`ResultMemo` across sessions to share served

@@ -357,9 +357,11 @@ def parallel_map(
     Which axis to shard over is the caller's choice of work unit:
     :class:`SweepRunner` fans out *repeats* (each repeat is one independent
     deployment + vectorized pass; every (copies, spf) cell is a nested
-    prefix of its repeat's tensor), while the chip backend — whose single
-    pass already folds all repeats into the stacked copy axis — fans out
-    *spf levels*, the only remaining per-pass axis.
+    prefix of its repeat's tensor).  The chip backend folds all repeats
+    into the stacked copy axis and reads a deterministic grid's spf levels
+    off one pass, so only its per-level passes — stochastic-synapse
+    requests, whose LFSR seeds differ per level — fan out.  The board
+    backend fans out its (level, repeat) passes and placement segments.
     """
     items = list(argument_tuples)
     if workers is not None and workers > 1 and len(items) > 1:

@@ -49,6 +49,26 @@ stops (the membrane potential is non-increasing from then on and a fired
 neuron restarts below threshold).  Configurations without a finite drain
 point — negative leak, or a reset at/above threshold — are rejected up
 front by the inference drivers.
+
+Level readout
+-------------
+
+Spikes per frame (spf) is temporal duplication, and the stochastic
+encoder fills its ``(spf, batch, features)`` draws in order, so the frames
+of an ``s``-tick run are a prefix of a longer run's.  The multi-copy
+drivers therefore take ascending ``levels`` ending at the volume's tick
+count and read every level off one run: level ``s`` is the cumulative
+readout after step ``s - 1 + (depth - 1) * delay``, the step at which a
+standalone ``s``-tick run's exact drain ends.  The snapshot equals that
+standalone run whenever every input-to-readout path has the one latency
+``(depth - 1) * delay``: the readout up to step ``τ`` then depends only on
+input ticks up to ``τ - (depth - 1) * delay``, for history-free and
+stateful neurons alike.  Every route on one chip has that latency.  On a
+board, a copy split over chips also pays ``link_delay`` per mesh hop on
+its boundary-crossing routes, so two paths of one copy can differ in
+latency and mix spike waves; the board driver reads several levels only
+when :func:`paths_share_one_latency` holds (``link_delay == 0`` or no copy
+is split), and raises otherwise.
 """
 
 from __future__ import annotations
@@ -551,6 +571,7 @@ def run_chip_inference_batch(
     deployed: DeployedNetwork,
     core_ids: List[List[int]],
     spike_volumes: np.ndarray,
+    levels: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Run a batch of samples through a programmed chip in lock-step.
 
@@ -565,14 +586,20 @@ def run_chip_inference_batch(
         deployed: the deployed copy the chip was programmed from.
         core_ids: physical core ids returned by :func:`program_chip`.
         spike_volumes: binary array of shape (batch, ticks, input_dim).
+        levels: spf levels to read off the run, as in
+            :func:`run_chip_inference_multicopy`.
 
     Returns:
         per-sample, per-class accumulated spike counts
-        (batch, num_classes), dtype int64.
+        (batch, num_classes), dtype int64; ``(len(levels), batch,
+        num_classes)`` when ``levels`` is given.
     """
     # A single-copy batch IS a one-copy multi-copy run: same tick loop,
     # same drain model, one driver to maintain.
-    return run_chip_inference_multicopy(chip, [deployed], core_ids, spike_volumes)[0]
+    counts = run_chip_inference_multicopy(
+        chip, [deployed], core_ids, spike_volumes, levels=levels
+    )
+    return counts[0] if levels is None else counts[:, 0]
 
 
 def run_chip_inference_multicopy(
@@ -581,6 +608,7 @@ def run_chip_inference_multicopy(
     core_ids: List[List[int]],
     spike_volumes: np.ndarray,
     copy_seeds: Optional[Sequence[int]] = None,
+    levels: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Run a sample batch through ``len(copies)`` copies in one chip pass.
 
@@ -609,11 +637,17 @@ def run_chip_inference_multicopy(
         copy_seeds: per-copy core-PRNG base seeds (stochastic mode); copy
             ``c`` replays exactly the stream of a one-chip-per-copy run
             whose chip was programmed with ``core_seed=copy_seeds[c]``.
+        levels: strictly ascending spf levels ending at the volume's tick
+            count, each read off this one run (see "Level readout" in the
+            module docstring); ``None`` reads the full run only.
 
     Returns:
         per-copy, per-sample class counts of shape
         ``(len(copies), batch, num_classes)``, dtype int64;
         ``result[c]`` equals the per-copy loop's counts for copy ``c``.
+        With ``levels`` the shape is ``(len(levels), len(copies), batch,
+        num_classes)`` and ``result[i]`` equals a standalone run of the
+        volume's first ``levels[i]`` ticks.
     """
     if not copies:
         raise ValueError("at least one deployed copy is required")
@@ -642,8 +676,12 @@ def run_chip_inference_multicopy(
         )
     _validate_latency_model(chip, network)
     batch, ticks = spike_volumes.shape[-3], spike_volumes.shape[-2]
+    read_levels = _readout_levels(levels, ticks)
     if batch == 0:
-        return np.zeros((n_copies, 0, network.num_classes), dtype=np.int64)
+        empty = np.zeros(
+            (len(read_levels), n_copies, 0, network.num_classes), dtype=np.int64
+        )
+        return empty[0] if levels is None else empty
     total = n_copies * batch
     chip.begin_multicopy(
         n_copies,
@@ -658,6 +696,9 @@ def run_chip_inference_multicopy(
     )
     flat_counts = class_counts.reshape(total, network.num_classes)
     indicators = _readout_indicators(network)
+    readout = _LevelReadout(
+        class_counts, read_levels, (len(network.corelets) - 1) * chip.router.delay
+    )
 
     def accumulate(outputs) -> None:
         for binding_index, spikes in outputs.get(OUTPUT_CHANNEL, {}).items():
@@ -666,6 +707,7 @@ def run_chip_inference_multicopy(
                 spikes.astype(np.float32) @ indicators[binding_index],
                 out=flat_counts,
             )
+        readout.stepped()
 
     per_binding_volumes = _gather_input_volumes(network, spike_volumes)
     for t in range(ticks):
@@ -679,7 +721,58 @@ def run_chip_inference_multicopy(
         }
         accumulate(chip.step_batch({INPUT_CHANNEL: per_binding}))
     _drain_chip(chip, network, accumulate, batched=True)
-    return class_counts.astype(np.int64)
+    counts = readout.result()
+    return counts[0] if levels is None else counts
+
+
+def _readout_levels(levels: Optional[Sequence[int]], ticks: int) -> Tuple[int, ...]:
+    """The validated readout levels of a ``ticks``-tick run.
+
+    ``None`` reads the full run only.
+    """
+    if levels is None:
+        return (ticks,)
+    checked = tuple(int(level) for level in levels)
+    if (
+        not checked
+        or checked[0] < 1
+        or checked[-1] != ticks
+        or any(later <= earlier for earlier, later in zip(checked, checked[1:]))
+    ):
+        raise ValueError(
+            "levels must ascend strictly from >= 1 to the volume's "
+            f"{ticks} ticks, got {tuple(levels)}"
+        )
+    return checked
+
+
+class _LevelReadout:
+    """Per-level snapshots of a run's cumulative class counts.
+
+    Level ``s`` is read after step ``s - 1 + latency`` (see "Level readout"
+    in the module docstring).  A level whose step the drain never reaches
+    — the network went quiet first — reads the final counts.
+    """
+
+    def __init__(
+        self, counts: np.ndarray, levels: Tuple[int, ...], latency: int
+    ) -> None:
+        self.counts = counts
+        self.due = [level - 1 + latency for level in levels[:-1]]
+        self.snapshots: List[np.ndarray] = []
+        self.step = 0
+
+    def stepped(self) -> None:
+        """Record the counts if the step just taken ends a level."""
+        taken = len(self.snapshots)
+        if taken < len(self.due) and self.due[taken] == self.step:
+            self.snapshots.append(self.counts.copy())
+        self.step += 1
+
+    def result(self) -> np.ndarray:
+        """``(levels, ...)`` int64 counts, one entry per level."""
+        final = [self.counts] * (len(self.due) - len(self.snapshots) + 1)
+        return np.stack(self.snapshots + final).astype(np.int64)
 
 
 def _gather_input_volumes(network, spike_volumes: np.ndarray) -> List[np.ndarray]:
@@ -1073,12 +1166,25 @@ def _board_flush_bound(board: Board, program: BoardProgram, network) -> int:
     return bound
 
 
+def paths_share_one_latency(placement: BoardPlacement, link_delay: int) -> bool:
+    """Whether every input-to-readout path on the board has one latency.
+
+    Whole copies never touch a link, and at ``link_delay == 0`` a link hop
+    costs nothing extra, so every path then takes ``(depth - 1) * delay``
+    ticks and one run can be read at several levels (see "Level readout"
+    in the module docstring).  A split copy at ``link_delay > 0`` may have
+    paths of unequal hop count.
+    """
+    return link_delay == 0 or not placement.split_copies()
+
+
 def run_board_inference_multicopy(
     board: Board,
     copies: Sequence[DeployedNetwork],
     program: BoardProgram,
     spike_volumes: np.ndarray,
     copy_seeds: Optional[Sequence[int]] = None,
+    levels: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Run a sample batch through ``len(copies)`` copies on a board.
 
@@ -1104,12 +1210,20 @@ def run_board_inference_multicopy(
             :func:`run_chip_inference_multicopy`; shard chips derive their
             chip-local seed from the shard offset so split copies replay
             the unsplit streams.
+        levels: spf levels read off this one run, as in
+            :func:`run_chip_inference_multicopy`.  More than one level
+            needs :func:`paths_share_one_latency`.
 
     Returns:
         per-copy, per-sample class counts ``(len(copies), batch,
-        num_classes)``, dtype int64.  When the program covers only some
+        num_classes)``, dtype int64, with a leading ``len(levels)`` axis
+        when ``levels`` is given.  When the program covers only some
         segments (serve sharding), rows of copies outside the programmed
         segments are zero.
+
+    Raises:
+        ValueError: when several levels are asked of a board whose paths
+            do not share one latency.
     """
     if not copies:
         raise ValueError("at least one deployed copy is required")
@@ -1137,8 +1251,20 @@ def run_board_inference_multicopy(
             f"expected {n_copies} copy seeds, got {len(copy_seeds)}"
         )
     batch, ticks = spike_volumes.shape[-3], spike_volumes.shape[-2]
+    read_levels = _readout_levels(levels, ticks)
+    if len(read_levels) > 1 and not paths_share_one_latency(
+        program.placement, board.config.link_delay
+    ):
+        raise ValueError(
+            f"cannot read levels {read_levels} off one run: split copies at "
+            f"link_delay={board.config.link_delay} have paths of unequal "
+            "latency; run each level on its own"
+        )
     if batch == 0:
-        return np.zeros((n_copies, 0, network.num_classes), dtype=np.int64)
+        empty = np.zeros(
+            (len(read_levels), n_copies, 0, network.num_classes), dtype=np.int64
+        )
+        return empty[0] if levels is None else empty
 
     grouped = spike_volumes.ndim == 4
     groups = spike_volumes.shape[0] if grouped else 1
@@ -1247,6 +1373,11 @@ def run_board_inference_multicopy(
         if entries:
             sinks[chip_index] = entries
 
+    # With one latency on every path (checked above whenever several levels
+    # are read), the exact drain bound is that latency.
+    flush_bound = _board_flush_bound(board, program, network)
+    readout = _LevelReadout(class_counts, read_levels, flush_bound)
+
     def accumulate(per_chip_outputs) -> None:
         for chip_index, outputs in per_chip_outputs.items():
             entries = sinks.get(chip_index)
@@ -1263,6 +1394,7 @@ def run_board_inference_multicopy(
                     np.add(view, contribution, out=view)
                 else:
                     flat_counts[rows] += contribution
+        readout.stepped()
 
     for t in range(ticks):
         inputs = {
@@ -1276,7 +1408,6 @@ def run_board_inference_multicopy(
         }
         accumulate(board.step_batch(inputs))
 
-    flush_bound = _board_flush_bound(board, program, network)
     extra = 0
     while board.has_pending():
         extra += 1
@@ -1287,7 +1418,8 @@ def run_board_inference_multicopy(
                 "topology, e.g. a cycle?)"
             )
         accumulate(board.step_batch(None))
-    return class_counts.astype(np.int64)
+    counts = readout.result()
+    return counts[0] if levels is None else counts
 
 
 def board_spike_counters(

@@ -34,9 +34,11 @@ def clone_rng(rng: np.random.Generator) -> np.random.Generator:
     The clone gets its own bit-generator instance carrying a copy of
     ``rng``'s state, so consuming the clone never advances the original.
     Used when the same stream must be re-consumed from a known point — e.g.
-    each spf level of a chip grid pass replays every repeat's generator from
-    its pristine spawned state, so deployments are identical across levels
-    and each level draws exactly what a standalone request would have drawn.
+    each chip or board pass replays every repeat's generator from its
+    pristine spawned state, so deployments are identical across passes and
+    each pass draws exactly what a standalone request would have drawn
+    (a grid's per-level passes, or a one-pass grid and its single-level
+    requests).
     """
     clone = np.random.Generator(type(rng.bit_generator)())
     clone.bit_generator.state = rng.bit_generator.state

@@ -106,7 +106,12 @@ def test_chip_class_counts_bit_identical_to_vectorized(copies, spf, seed):
 
 
 def test_chip_multilayer_counts_match_vectorized(tiny_context):
-    """The multi-layer path (router hops, drain ticks) agrees too."""
+    """The multi-layer path (router hops, drain ticks) agrees too.
+
+    The grid's spf levels are read off one max-spf chip (and board) pass,
+    so this pins the level readout's ``(depth - 1) * delay`` offset on a
+    trained multi-layer model against the vectorized engine.
+    """
     from repro.experiments.runner import ExperimentContext
 
     context = ExperimentContext(
@@ -122,14 +127,17 @@ def test_chip_multilayer_counts_match_vectorized(tiny_context):
         model=context.result("tea").model,
         dataset=context.evaluation_dataset(),
         copy_levels=(1, 2),
-        spf_levels=(2,),
+        spf_levels=(1, 2, 3),
         repeats=1,
         seed=3,
     )
     session = _session()
-    chip = session.evaluate(request, backend="chip")
     vectorized = session.evaluate(request, backend="vectorized")
-    assert np.array_equal(chip.class_counts(), vectorized.class_counts())
+    for backend in ("chip", "board"):
+        cycle_accurate = session.evaluate(request, backend=backend)
+        assert np.array_equal(
+            cycle_accurate.class_counts(), vectorized.class_counts()
+        )
 
 
 # ----------------------------------------------------------------------

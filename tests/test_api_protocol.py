@@ -115,8 +115,9 @@ def test_capability_flags_match_design():
     assert VectorizedBackend().capabilities().cacheable
     assert not VectorizedBackend().capabilities().cycle_accurate
     assert ChipBackend().capabilities().cycle_accurate
-    # The chip serves (copies, spf, repeats) grids in one pass per spf
-    # level (repeat-folded multi-copy images) — grid-capable since PR 7.
+    # The chip serves (copies, spf, repeats) grids from repeat-folded
+    # multi-copy images, reading every spf level of a deterministic grid
+    # off one max-spf pass.
     assert ChipBackend().capabilities().spf_grids
     assert ChipBackend(multicopy=False).capabilities().spf_grids
     assert not ReferenceBackend().capabilities().cacheable

@@ -9,10 +9,17 @@ The board subsystem's equivalence discipline, pinned at ``atol=0``:
 * spreading whole copies over several chips changes *where* cores live but
   not a single count, and carries zero link traffic;
 * splitting a copy across chips hands spikes off at chip edges through the
-  mesh links; with deterministic (history-free) neurons the counts are
-  invariant under any ``link_delay`` and any ``router_delay``, and the
-  summed delivered counters across the board equal the single chip's
-  (conservation: a spike crosses a link instead of vanishing);
+  mesh links; with deterministic (history-free) neurons the counts match
+  the single chip whenever every input-to-readout path has one latency —
+  at ``link_delay=0``, or when the split gives every path the same hop
+  count, as the half-split layout below does — and the summed delivered
+  counters across the board equal the single chip's (conservation: a
+  spike crosses a link instead of vanishing).  Paths of unequal hop count
+  at ``link_delay > 0`` mix spike waves of different input ticks and do
+  change the counts;
+* level readout: on a split-copy board at ``link_delay=0`` every spf level
+  read off one max-spf run equals a standalone run of that many ticks,
+  and the driver refuses several levels where paths differ in latency;
 * ``board.reset()`` drops run state but not programming — a rerun after a
   completed (or drained) run reproduces the first run exactly, link
   counters included;
@@ -219,8 +226,11 @@ def test_split_copy_handoff_matches_single_chip(depth, delay, link_delay, seed):
     assert program.placement.split_copies() == tuple(range(n_copies))
     stats = program.placement.mesh_statistics()
     assert stats["max_chip_distance"] >= 1
-    # Deterministic history-free neurons: counts are invariant under any
-    # link/router delay — the spikes arrive later but identical.
+    # Deterministic history-free neurons: the half split gives every path
+    # of a layer transition the same hop count, so each path has one
+    # latency and the spikes arrive later but identical.  (Unequal hop
+    # counts at link_delay > 0 change the counts — see
+    # test_unequal_link_paths_change_counts_and_refuse_level_readout.)
     assert np.array_equal(ref_counts, counts)
     assert np.array_equal(
         ref_counters, board_spike_counters(board, copies, program)
@@ -234,6 +244,75 @@ def test_split_copy_handoff_matches_single_chip(depth, delay, link_delay, seed):
         board.fabric.spikes_carried * max(1, stats["max_chip_distance"])
     )
     assert board.fabric.spikes_carried == sum(board.fabric.pair_counts.values())
+
+
+@given(
+    depth=st.integers(min_value=2, max_value=3),
+    delay=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=100),
+)
+@_SETTINGS
+def test_split_copy_level_readout_matches_standalone_runs(depth, delay, seed):
+    rng = np.random.default_rng(seed)
+    copies = random_deployed_copies(rng, 2, depth)
+    network = copies[0].corelet_network
+    volumes = (rng.random((3, 4, network.input_dim)) < 0.45).astype(np.int8)
+    half = (network.core_count + 1) // 2
+    config = BoardConfig(
+        grid_shape=(2, 2), chip_config=ChipConfig(grid_shape=(1, half)),
+        link_delay=0,
+    )
+    levels = (1, 2, 4)
+
+    def run(volume, **kwargs):
+        board, program = program_board_multicopy(
+            copies, config, router_delay=delay
+        )
+        assert program.placement.split_copies() == (0, 1)
+        return run_board_inference_multicopy(
+            board, copies, program, volume, **kwargs
+        )
+
+    folded = run(volumes, levels=levels)
+    for index, spf in enumerate(levels):
+        standalone = volumes[:, :spf]
+        assert np.array_equal(folded[index], run(standalone))
+        _, _, chip_counts, _ = _chip_reference(
+            copies, standalone, None, delay, None
+        )
+        assert np.array_equal(folded[index], chip_counts)
+
+
+def test_unequal_link_paths_change_counts_and_refuse_level_readout():
+    # One core per chip on a 2x2 mesh: the depth-2 copy's layer-0 cores sit
+    # on the top row and its layer-1 cores on the bottom row, so its
+    # transition paths take 1 or 2 hops.  At link_delay=1 a layer-1 core
+    # sums spikes born at different input ticks, and the counts move.
+    rng = np.random.default_rng(0)
+    copies = random_deployed_copies(rng, 1, 2)
+    network = copies[0].corelet_network
+    volumes = (rng.random((3, 2, network.input_dim)) < 0.45).astype(np.int8)
+    _, _, chip_counts, _ = _chip_reference(copies, volumes, None, 1, None)
+    config = BoardConfig(
+        grid_shape=(2, 2), chip_config=ChipConfig(grid_shape=(1, 1)),
+        link_delay=1,
+    )
+    board, program = program_board_multicopy(copies, config)
+    assert program.placement.split_copies() == (0,)
+    assert program.placement.transition_chip_distances(0) == [2]
+    counts = run_board_inference_multicopy(board, copies, program, volumes)
+    assert not np.array_equal(counts, chip_counts)
+    with pytest.raises(ValueError, match="unequal latency"):
+        run_board_inference_multicopy(
+            board, copies, program, volumes, levels=(1, 2)
+        )
+    # The full-run readout alone is still served, as one level.
+    assert np.array_equal(
+        run_board_inference_multicopy(
+            board, copies, program, volumes, levels=(2,)
+        )[0],
+        counts,
+    )
 
 
 def test_board_reset_reproduces_the_run():
@@ -365,8 +444,11 @@ def test_board_worker_sharding_is_bit_identical(model_and_dataset):
 
 
 def test_link_delay_changes_nothing_for_history_free_copies(model_and_dataset):
-    # The deployed tea model is deterministic and history-free, so mesh
-    # latency shifts arrival ticks without changing any count.
+    # The tea model is single-layer: its split copies route no spike over a
+    # link, so every path has one latency and mesh latency cannot change a
+    # count.  (Multi-layer copies whose paths differ in hop count do change
+    # at link_delay > 0 — see
+    # test_unequal_link_paths_change_counts_and_refuse_level_readout.)
     model, dataset = model_and_dataset
     cores = model.architecture.cores_per_network
     small = ChipConfig(grid_shape=(1, max(1, (cores + 1) // 2)))

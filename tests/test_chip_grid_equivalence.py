@@ -12,9 +12,13 @@ replaced, at ``atol=0``:
   router delivered/hop counters, and (stochastic mode) the final per-copy
   LFSR register states, over LIF neurons, router delays > 1, and a
   mid-run ``reset()``;
-* backend level — ``ChipBackend`` multi-spf grids vs single-level
-  requests and vs the ``multicopy=False`` loop, including ``workers=2``
-  process fan-out over spf levels;
+* level readout — every spf level read off one max-spf run equals a
+  standalone run of that many ticks, over depth 1-3, router delay 1-3,
+  history-free, LIF and stochastic neurons, and grouped volumes;
+* backend level — ``ChipBackend`` and ``BoardBackend`` multi-spf grids
+  (one pass for all levels, or one per level) vs single-level requests,
+  ``ChipBackend`` vs the ``multicopy=False`` loop, and ``workers=2``
+  process fan-out over per-level (stochastic) passes;
 * programming level — per-core-fit trimming gives heterogeneous corelets
   their own crossbar geometry in deterministic mode while stochastic
   images keep the network-uniform shape (the LFSR sample layout is a
@@ -30,13 +34,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EvalRequest
-from repro.api.backends import ChipBackend
+from repro.api.backends import BoardBackend, ChipBackend
 from repro.mapping.pipeline import (
     program_chip,
     program_chip_multicopy,
     run_chip_inference_multicopy,
 )
-from repro.truenorth.config import NeuronConfig
+from repro.truenorth.config import ChipConfig, NeuronConfig
 
 from test_chip_batch_equivalence import random_deployed_network
 from test_chip_multicopy_equivalence import _STOCHASTIC, random_deployed_copies
@@ -245,6 +249,83 @@ def test_midrun_reset_replays_folded_grid():
     assert np.array_equal(first, again)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("delay", [1, 2, 3])
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    neurons=st.sampled_from(["history-free", "lif", "stochastic"]),
+    repeats=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_level_readout_matches_standalone_runs(
+    depth, delay, neurons, repeats, seed
+):
+    """Each level read off one max-spf run equals a standalone s-tick run.
+
+    Runs the repeat-folded image on a grouped volume (one block per
+    repeat) for every repeat count, so the snapshot offset
+    ``(depth - 1) * delay`` is pinned where the chip backend uses it.
+    """
+    rng = np.random.default_rng(seed)
+    flat = random_deployed_copies(
+        rng, 2 * repeats, depth, fractional_probabilities=neurons == "stochastic"
+    )
+    neuron_config = {
+        "history-free": None,
+        "lif": NeuronConfig(
+            threshold=int(rng.integers(1, 3)), history_free=False
+        ),
+        "stochastic": _STOCHASTIC,
+    }[neurons]
+    seeds = (
+        [int(s) for s in rng.integers(1, 2**16, size=len(flat))]
+        if neurons == "stochastic"
+        else None
+    )
+    input_dim = flat[0].corelet_network.input_dim
+    volumes = (rng.random((repeats, 3, 5, input_dim)) < 0.45).astype(np.int8)
+    levels = (1, 2, 3, 5)
+
+    def run(volume, **kwargs):
+        chip, core_ids = program_chip_multicopy(
+            flat, neuron_config=neuron_config, router_delay=delay
+        )
+        return run_chip_inference_multicopy(
+            chip, flat, core_ids, volume, copy_seeds=seeds, **kwargs
+        )
+
+    folded = run(volumes, levels=levels)
+    assert folded.shape == (len(levels), len(flat), 3, 4)
+    for index, spf in enumerate(levels):
+        np.testing.assert_array_equal(folded[index], run(volumes[..., :spf, :]))
+
+
+def test_level_readout_guards():
+    rng = np.random.default_rng(5)
+    copies = random_deployed_copies(rng, 2, 2)
+    chip, core_ids = program_chip_multicopy(copies)
+    input_dim = copies[0].corelet_network.input_dim
+    volume = (rng.random((2, 3, input_dim)) < 0.5).astype(np.int8)
+    for levels in [(), (0, 3), (1, 2), (2, 1, 3), (1, 1, 3), (1, 4)]:
+        with pytest.raises(ValueError, match="levels must ascend"):
+            run_chip_inference_multicopy(
+                chip, copies, core_ids, volume, levels=levels
+            )
+    # Reading the full run as its one level gives the plain result with a
+    # levels axis; an empty batch keeps the levels axis too.
+    np.testing.assert_array_equal(
+        run_chip_inference_multicopy(chip, copies, core_ids, volume, levels=(3,)),
+        run_chip_inference_multicopy(chip, copies, core_ids, volume)[None],
+    )
+    assert run_chip_inference_multicopy(
+        chip, copies, core_ids, volume[:0], levels=(1, 3)
+    ).shape == (2, 2, 0, 4)
+
+
 def test_grouped_volume_guards():
     rng = np.random.default_rng(5)
     groups = _repeat_groups(rng, 2, 2, 1)
@@ -331,6 +412,22 @@ def _assert_results_equal(a, b):
         np.testing.assert_array_equal(left, right)
 
 
+def _grid_backends():
+    """Every pass plan: chip, whole-copy board, and split-copy boards.
+
+    Split copies fold at ``link_delay=0`` and take one pass per level at
+    ``link_delay=1``; deterministic chip and whole-copy board grids fold.
+    """
+    cores = _MODEL["model"].architecture.cores_per_network
+    half = ChipConfig(grid_shape=(1, max(1, (cores + 1) // 2)))
+    return [
+        ChipBackend,
+        BoardBackend,
+        lambda: BoardBackend(chip_config=half),
+        lambda: BoardBackend(chip_config=half, link_delay=1),
+    ]
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     repeats=st.sampled_from([1, 2]),
@@ -345,27 +442,60 @@ def test_backend_grid_matches_single_level_requests(
     request = _request(
         repeats=repeats,
         seed=seed,
+        spf_levels=(1, 2, 4),
         stochastic_synapses=stochastic,
         collect_spike_counters=counters,
     )
-    grid = ChipBackend().evaluate(request)
-    for column, spf in enumerate(request.spf_levels):
-        single = ChipBackend().evaluate(
-            _request(
-                repeats=repeats,
-                seed=seed,
-                spf_levels=(spf,),
-                stochastic_synapses=stochastic,
-                collect_spike_counters=counters,
+    for backend in _grid_backends():
+        grid = backend().evaluate(request)
+        for column, spf in enumerate(request.spf_levels):
+            single = backend().evaluate(
+                request.with_levels(request.copy_levels, (spf,))
             )
-        )
-        np.testing.assert_array_equal(
-            grid.class_counts()[:, :, column], single.class_counts()[:, :, 0]
-        )
-        if counters and spf == request.max_spf:
             np.testing.assert_array_equal(
-                grid.spike_counters, single.spike_counters
+                grid.class_counts()[:, :, column],
+                single.class_counts()[:, :, 0],
             )
+            if counters and spf == request.max_spf:
+                np.testing.assert_array_equal(
+                    grid.spike_counters, single.spike_counters
+                )
+
+
+def test_backend_pass_plan(monkeypatch):
+    """Which grids fold into one pass, and which take one pass per level.
+
+    Deterministic chip grids take one pass, deterministic board grids one
+    per repeat when every path has one latency (whole copies, or
+    ``link_delay=0``).  Stochastic requests, and split copies at
+    ``link_delay > 0``, read one level per pass.
+    """
+    import repro.api.backends as backends
+
+    passes = []
+    for name in ("run_chip_inference_multicopy", "run_board_inference_multicopy"):
+
+        def counting(*args, _run=getattr(backends, name), **kwargs):
+            passes.append(kwargs["levels"])
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(backends, name, counting)
+    cores = _MODEL["model"].architecture.cores_per_network
+    half = ChipConfig(grid_shape=(1, max(1, (cores + 1) // 2)))
+    grid = (1, 2, 4)
+    per_level = [(1,), (2,), (4,)]
+    cases = [
+        (ChipBackend(), {}, [grid]),
+        (ChipBackend(), {"stochastic_synapses": True}, per_level),
+        (BoardBackend(), {"link_delay": 1}, [grid, grid]),
+        (BoardBackend(chip_config=half), {"link_delay": 0}, [grid, grid]),
+        (BoardBackend(chip_config=half), {"link_delay": 1}, per_level * 2),
+        (BoardBackend(), {"stochastic_synapses": True}, per_level * 2),
+    ]
+    for backend, fields, expected in cases:
+        passes.clear()
+        backend.evaluate(_request(spf_levels=grid, **fields))
+        assert sorted(passes) == sorted(expected), (backend.name, fields)
 
 
 @settings(max_examples=4, deadline=None)
@@ -388,9 +518,18 @@ def test_backend_grid_multicopy_matches_percopy_loop(stochastic, seed):
 
 
 def test_backend_grid_bit_identical_with_worker_fanout():
-    """workers=2 shards spf levels over processes without changing a bit."""
+    """workers=2 shards per-level passes over processes without changing a bit.
+
+    Stochastic-synapse grids take one pass per spf level (deterministic
+    grids fold into one in-process pass), so this request starts a real
+    process pool.
+    """
     request = _request(
-        spf_levels=(1, 2, 3), repeats=2, seed=7, collect_spike_counters=True
+        spf_levels=(1, 2, 3),
+        repeats=2,
+        seed=7,
+        stochastic_synapses=True,
+        collect_spike_counters=True,
     )
     _assert_results_equal(
         ChipBackend(workers=None).evaluate(request),
