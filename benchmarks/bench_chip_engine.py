@@ -2,8 +2,9 @@
 
 Times the paper's "ground truth" path — cycle-accurate TrueNorth chip
 simulation of a deployed test-bench network — on the batched engine
-(:func:`repro.mapping.pipeline.run_chip_inference_batch`, one crossbar
-matmul per core per tick for the whole batch) against the original
+(:func:`repro.mapping.pipeline.run_chip_inference_multicopy` run as one
+copy, one crossbar matmul per core per tick for the whole batch) against
+the original
 per-sample loop (:func:`repro.mapping.pipeline.run_chip_inference`, one
 chip pass per sample), verifies the two per-sample class-count tensors and
 the per-core spike counters are bit-identical, and records the result to a
@@ -13,9 +14,9 @@ A second section times the **multi-copy** engine: ``--copies C`` sampled
 copies programmed side by side into one chip image and advanced as one
 ``C * samples`` lock-step batch
 (:func:`repro.mapping.pipeline.run_chip_inference_multicopy`) against the
-one-chip-per-copy loop (C ``program_chip`` + ``run_chip_inference_batch``
-passes), again enforcing bit-identical per-copy class counts and per-core
-spike counters.  Both records land in the same JSON file.
+one-chip-per-copy loop (C ``program_chip`` chips, each run as one copy by
+the same multi-copy driver), again enforcing bit-identical per-copy class
+counts and per-core spike counters.  Both records land in the same JSON file.
 
 A third section (``--grid``) times a full ``(copies, spf, repeats)``
 **grid sweep**: the single-pass path (all repeats' copies in one chip
@@ -59,7 +60,6 @@ from repro.mapping.pipeline import (
     program_chip,
     program_chip_multicopy,
     run_chip_inference,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
 )
 
@@ -173,7 +173,9 @@ def main() -> None:
     batch_times = []
     for _ in range(args.batch_repeats):
         start = time.perf_counter()
-        batch_counts = run_chip_inference_batch(chip, deployed, core_ids, volumes)
+        batch_counts = run_chip_inference_multicopy(
+            chip, [deployed], core_ids, volumes
+        )[0]
         batch_times.append(time.perf_counter() - start)
     batch_seconds = min(batch_times)
     batch_spikes = np.stack(
@@ -281,7 +283,9 @@ def bench_multicopy(model, volumes: np.ndarray, copies: int, repeats: int) -> di
         counts, spikes = [], []
         for copy in deployment.copies:
             chip, core_ids = program_chip(copy)
-            counts.append(run_chip_inference_batch(chip, copy, core_ids, volumes))
+            counts.append(
+                run_chip_inference_multicopy(chip, [copy], core_ids, volumes)[0]
+            )
             order = [cid for layer in core_ids for cid in layer]
             spikes.append(
                 np.stack([chip.core(k).batch_spike_counts for k in order])

@@ -5,10 +5,9 @@ Runs a tiny trained model through the requested backend via
 equivalence invariant:
 
 * ``vectorized`` — score tensors bit-identical to the ``reference`` loop;
-* ``chip`` — integer readout class counts bit-identical to ``vectorized``,
-  and the default multi-copy chip image bit-identical (counts and per-core
-  spike counters, deterministic and stochastic-synapse mode) to the
-  one-chip-per-copy loop (``ChipBackend(multicopy=False)``);
+* ``chip`` — integer readout class counts bit-identical to ``vectorized``
+  and to the ``reference`` loop, and a multi-spf grid (one max-spf pass,
+  level readout) bit-identical to its single-level requests;
 * ``board`` — counts, spike counters, and accuracy bit-identical to the
   ``chip`` backend on the same request (deterministic and
   stochastic-synapse mode), and still identical on chips small enough to
@@ -35,7 +34,7 @@ import numpy as np
 
 from dataclasses import replace
 
-from repro.api import BoardBackend, ChipBackend, EvalRequest, Session, backend_names
+from repro.api import BoardBackend, EvalRequest, Session, backend_names
 from repro.experiments.runner import ExperimentContext
 from repro.truenorth.config import ChipConfig
 
@@ -91,26 +90,10 @@ def main() -> None:
             failures.append("vectorized scores diverged from the reference loop")
         invariant = "scores bit-identical to reference"
     elif args.backend == "chip":
-        vectorized = session.evaluate(request, backend="vectorized")
-        if not np.array_equal(result.class_counts(), vectorized.class_counts()):
-            failures.append("chip class counts diverged from the vectorized engine")
-        # Multi-copy image vs one-chip-per-copy loop, spike counters
-        # included, deterministic and stochastic-synapse mode.
-        counters = replace(request, collect_spike_counters=True)
-        for variant in (counters, replace(counters, stochastic_synapses=True)):
-            multi = session.evaluate(variant, backend="chip")
-            percopy = ChipBackend(multicopy=False).evaluate(variant)
-            label = "stochastic" if variant.stochastic_synapses else "deterministic"
-            if not np.array_equal(multi.class_counts(), percopy.class_counts()):
-                failures.append(
-                    f"multi-copy chip class counts diverged from the "
-                    f"per-copy loop ({label})"
-                )
-            if not np.array_equal(multi.spike_counters, percopy.spike_counters):
-                failures.append(
-                    f"multi-copy chip spike counters diverged from the "
-                    f"per-copy loop ({label})"
-                )
+        for oracle in ("vectorized", "reference"):
+            expected = session.evaluate(request, backend=oracle)
+            if not np.array_equal(result.class_counts(), expected.class_counts()):
+                failures.append(f"chip class counts diverged from the {oracle} backend")
         # Grid path: a multi-spf request (one max-spf pass, level readout) must
         # match the stack of single-level requests cell for cell.
         grid_request = replace(request, spf_levels=tuple(sorted({1, args.spf})))
@@ -127,9 +110,8 @@ def main() -> None:
                     f"single-level request"
                 )
         invariant = (
-            "class counts bit-identical to vectorized; multi-copy image "
-            "bit-identical to per-copy loop (incl. stochastic synapses); "
-            "spf grid bit-identical to single-level requests"
+            "class counts bit-identical to vectorized and reference; spf "
+            "grid bit-identical to single-level requests"
         )
     elif args.backend == "board":
         counters = replace(request, collect_spike_counters=True)

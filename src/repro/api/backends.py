@@ -21,19 +21,18 @@ Four backends wrap the repo's evaluation engines behind one
   ``max(spf_levels)`` ticks and reads every spf level off the run (level
   readout); stochastic-synapse grids take one pass per spf level,
   optionally fanned over worker processes.  Copy and repeat levels fall
-  out of one pass via exact integer cumsums.  ``ChipBackend(multicopy=False)``
-  keeps the bit-identical one-chip-per-copy loop the property tests pin
-  the engine against.
+  out of one pass via exact integer cumsums.
 * ``board`` — the multi-chip board mesh
   (:func:`repro.mapping.pipeline.run_board_inference_multicopy`):
   duplication sweeps whose core footprint overflows one chip spill onto a
   mesh of chips, boundary-crossing spikes pay a configurable per-hop link
   delay, and ``workers=N`` shards each pass over its placement segments
-  (one worker per simulated chip group).  Each repeat is one pass that
-  reads every spf level off the run when all spike paths share one
+  (one worker per simulated chip group).  Every board chip is a multi-copy
+  chip image and repeats fold as on the chip, so a grid takes one pass
+  that reads every spf level off the run when all spike paths share one
   latency (``link_delay == 0`` or no split copy); otherwise, and for
-  stochastic synapses, each (spf level, repeat) is its own pass.  On a
-  1x1 board with ideal links it is bit-identical to ``chip``.
+  stochastic synapses, each spf level is its own pass.  On a 1x1 board
+  with ideal links it is bit-identical to ``chip``.
 
 All four consume the canonical randomness layout documented in
 :mod:`repro.api.protocol`, so a request produces the same sampled
@@ -64,16 +63,15 @@ from repro.eval.engine import class_counts as class_neuron_counts
 from repro.eval.engine import evaluate_scores_reference
 from repro.eval.runner import ScoreCache, SweepRunner, parallel_map
 from repro.mapping.corelet import CoreletNetwork, build_corelets
-from repro.mapping.duplication import DuplicatedDeployment, deploy_with_copies
+from repro.mapping.deploy import DeployedNetwork
+from repro.mapping.duplication import deploy_with_copies
 from repro.mapping.placement import place_on_board
 from repro.mapping.pipeline import (
     board_spike_counters,
     paths_share_one_latency,
     program_board_multicopy,
-    program_chip,
     program_chip_multicopy,
     run_board_inference_multicopy,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
     stochastic_neuron_config,
 )
@@ -363,65 +361,52 @@ def _cumulative_scores(counts: np.ndarray, n_k: np.ndarray) -> List[np.ndarray]:
     return [scores[:, repeat].swapaxes(0, 1) for repeat in range(counts.shape[1])]
 
 
-def _evaluate_chip_level(
+def _deploy_and_encode(
     model: TrueNorthModel,
     features: np.ndarray,
     spf_levels: Tuple[int, ...],
     repeat_rngs: List[np.random.Generator],
     network: CoreletNetwork,
     max_copies: int,
-    multicopy: bool,
     stochastic: bool,
-    collect_counters: bool,
-    router_delay: Optional[int],
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One chip pass: ``spf_levels`` read off one max-spf run, repeats folded.
+) -> Tuple[List[DeployedNetwork], np.ndarray, Optional[List[int]]]:
+    """The repeat-folded inputs of one cycle-accurate pass.
 
-    Module-level (not a method) so :func:`repro.eval.runner.parallel_map`
-    can pickle it into worker processes.  Each pass clones the pristine
-    per-repeat generators (see :func:`repro.utils.rng.clone_rng`), deploys
-    and encodes ``max(spf_levels)`` frames once per repeat, programs the
-    chip once, and reads every level off the one run (level readout, see
-    :mod:`repro.mapping.pipeline`).  The frames of a smaller spf are a
-    prefix of the encoded volume, so each level equals a standalone pass
-    at that spf.
+    Each repeat clones its pristine generator (see
+    :func:`repro.utils.rng.clone_rng`), deploys ``max_copies`` copies,
+    encodes ``max(spf_levels)`` frames and — stochastic mode — draws its
+    copies' LFSR seeds, in that order, so every pass (and every worker of a
+    sharded pass) replays identical streams.  The frames of a smaller spf
+    are a prefix of the encoded volume, which is what lets one run serve
+    every level (level readout, see :mod:`repro.mapping.pipeline`).
 
-    Returns ``(counts, counters)`` with ``counts`` shaped
-    ``(len(spf_levels), repeats, max_copies, batch, classes)`` (integer
-    readout counts) and ``counters`` — those of the largest level — shaped
-    ``(repeats, max_copies, cores_per_copy, batch)`` or ``None``.  In
-    multicopy mode the ``repeats * max_copies`` copies of all repeats are
-    programmed side by side into **one** chip image and the stacked
-    per-repeat input volumes ride the chip's grouped-input form (repeat
-    ``r``'s volume feeds exactly its block of ``max_copies`` copy rows);
-    ``multicopy=False`` keeps the one-chip-per-copy loop.
+    Returns ``(copies, volumes, copy_seeds)``: the ``repeats * max_copies``
+    copies repeat-major, the grouped ``(repeats, batch, ticks, inputs)``
+    volume (repeat ``r``'s block feeds exactly its copies), and the per-copy
+    seeds or ``None``.
     """
     encoder = StochasticEncoder(spikes_per_frame=spf_levels[-1])
-    neuron_config = stochastic_neuron_config(network) if stochastic else None
-    repeats = len(repeat_rngs)
-    deployments: List[DuplicatedDeployment] = []
+    copies: List[DeployedNetwork] = []
     volumes: List[np.ndarray] = []
     copy_seeds: Optional[List[int]] = [] if stochastic else None
     for rng in repeat_rngs:
         level_rng = clone_rng(rng)
-        deployments.append(
+        copies.extend(
             deploy_with_copies(
                 model, copies=max_copies, rng=level_rng, corelet_network=network
-            )
+            ).copies
         )
         frames = encoder.encode(features, rng=level_rng)
         volumes.append(np.ascontiguousarray(frames.transpose(1, 0, 2)))
         if copy_seeds is not None:
             # Drawn after deployment and encoding so deterministic requests
-            # keep their exact historical streams; identical in both chip
-            # modes, which is what keeps them bit-identical to each other.
-            # The draw depends on how many frames were encoded, which is
-            # why stochastic requests take one pass per spf level.
-            # Sampled *without* replacement — the LFSR seed space is only
-            # 16 bits, and two copies sharing a seed would replay
-            # byte-identical streams, silently collapsing the
-            # copies-averaging statistic the sweep measures.  (Repeats may
-            # collide with each other — they always could, being
+            # keep their exact historical streams.  The draw depends on how
+            # many frames were encoded, which is why stochastic requests
+            # take one pass per spf level.  Sampled *without* replacement —
+            # the LFSR seed space is only 16 bits, and two copies sharing a
+            # seed would replay byte-identical streams, silently collapsing
+            # the copies-averaging statistic the sweep measures.  (Repeats
+            # may collide with each other — they always could, being
             # independent draws.)
             copy_seeds.extend(
                 int(seed)
@@ -429,82 +414,109 @@ def _evaluate_chip_level(
                     np.arange(1, 2**16), size=max_copies, replace=False
                 )
             )
-    batch = volumes[0].shape[0]
-    if multicopy:
-        flat_copies = [copy for d in deployments for copy in d.copies]
-        chip, core_ids = program_chip_multicopy(
-            flat_copies, neuron_config=neuron_config, router_delay=router_delay
-        )
-        counts = run_chip_inference_multicopy(
-            chip,
-            flat_copies,
-            core_ids,
-            np.stack(volumes),
-            copy_seeds=copy_seeds,
-            levels=spf_levels,
-        )
-        counters = None
-        if collect_counters:
-            flat_ids = [cid for layer in core_ids for cid in layer]
-            stacked = np.stack(
-                [chip.core(cid).multicopy_spike_counts for cid in flat_ids],
-                axis=1,
-            )  # (repeats * max_copies, cores_per_copy, batch)
-            counters = stacked.reshape(
-                (repeats, max_copies) + stacked.shape[1:]
-            )
-        shape = (len(spf_levels), repeats, max_copies, batch, -1)
-        return counts.reshape(shape), counters
-    per_repeat_counts: List[np.ndarray] = []
-    per_repeat_counters: List[np.ndarray] = []
-    for index, deployment in enumerate(deployments):
-        per_copy_counts: List[np.ndarray] = []
-        per_copy_counters: List[np.ndarray] = []
-        for offset, copy in enumerate(deployment.copies):
-            chip, core_ids = program_chip(
-                copy,
-                neuron_config=neuron_config,
-                router_delay=router_delay,
-                core_seed=0
-                if copy_seeds is None
-                else copy_seeds[index * max_copies + offset],
-            )
-            per_copy_counts.append(
-                run_chip_inference_batch(
-                    chip, copy, core_ids, volumes[index], levels=spf_levels
-                )
-            )
-            if collect_counters:
-                flat_ids = [cid for layer in core_ids for cid in layer]
-                per_copy_counters.append(
-                    np.stack(
-                        [chip.core(cid).batch_spike_counts for cid in flat_ids]
-                    )
-                )
-        per_repeat_counts.append(np.stack(per_copy_counts, axis=1))
-        if collect_counters:
-            per_repeat_counters.append(np.stack(per_copy_counters))
-    return (
-        np.stack(per_repeat_counts, axis=1),
-        np.stack(per_repeat_counters) if collect_counters else None,
+    return copies, np.stack(volumes), copy_seeds
+
+
+def _pass_result(
+    counts: np.ndarray, counters: Optional[np.ndarray], repeats: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Split the folded copy axis of one pass into ``(repeats, copies)``.
+
+    ``counts`` is ``(levels, repeats * copies, batch, classes)`` and
+    ``counters`` ``(repeats * copies, cores_per_copy, batch)`` or ``None``.
+    """
+    counts = counts.reshape(counts.shape[:1] + (repeats, -1) + counts.shape[2:])
+    if counters is not None:
+        counters = counters.reshape((repeats, -1) + counters.shape[1:])
+    return counts, counters
+
+
+def _grid_result(
+    request: EvalRequest,
+    backend_name: str,
+    results: List[Tuple[np.ndarray, Optional[np.ndarray]]],
+    evaluation: Dataset,
+    network: CoreletNetwork,
+) -> EvalResult:
+    """The result of a cycle-accurate grid from its passes, in level order.
+
+    ``spf_levels`` ascends, so the last pass holds the spike counters a
+    single-level request at ``max_spf`` reports.
+    """
+    n_k = class_neuron_counts(network)
+    counts = np.concatenate([level_counts for level_counts, _ in results])
+    return _result_from_cumulative(
+        request,
+        backend_name,
+        _cumulative_scores(counts, n_k),
+        evaluation,
+        n_k,
+        network.core_count,
+        spike_counters=results[-1][1],
+        spf_axis_levels=request.spf_levels,
     )
+
+
+def _evaluate_chip_level(
+    model: TrueNorthModel,
+    features: np.ndarray,
+    spf_levels: Tuple[int, ...],
+    repeat_rngs: List[np.random.Generator],
+    network: CoreletNetwork,
+    max_copies: int,
+    stochastic: bool,
+    collect_counters: bool,
+    router_delay: Optional[int],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One chip pass: ``spf_levels`` read off one max-spf run, repeats folded.
+
+    Module-level (not a method) so :func:`repro.eval.runner.parallel_map`
+    can pickle it into worker processes.  The ``repeats * max_copies``
+    copies of all repeats are programmed side by side into **one** chip
+    image and the stacked per-repeat input volumes ride the chip's
+    grouped-input form (repeat ``r``'s volume feeds exactly its block of
+    ``max_copies`` copy rows); every level is read off the one run.
+
+    Returns ``(counts, counters)`` with ``counts`` shaped
+    ``(len(spf_levels), repeats, max_copies, batch, classes)`` (integer
+    readout counts) and ``counters`` — those of the largest level — shaped
+    ``(repeats, max_copies, cores_per_copy, batch)`` or ``None``.
+    """
+    copies, volumes, copy_seeds = _deploy_and_encode(
+        model, features, spf_levels, repeat_rngs, network, max_copies, stochastic
+    )
+    chip, core_ids = program_chip_multicopy(
+        copies,
+        neuron_config=stochastic_neuron_config(network) if stochastic else None,
+        router_delay=router_delay,
+    )
+    counts = run_chip_inference_multicopy(
+        chip, copies, core_ids, volumes, copy_seeds=copy_seeds, levels=spf_levels
+    )
+    counters = None
+    if collect_counters:
+        counters = np.stack(
+            [
+                chip.core(core_id).multicopy_spike_counts
+                for layer in core_ids
+                for core_id in layer
+            ],
+            axis=1,
+        )
+    return _pass_result(counts, counters, len(repeat_rngs))
 
 
 class ChipBackend:
     """The cycle-accurate path: batched TrueNorth chip simulation.
 
-    By default (``multicopy=True``) the requested copies of **all repeats**
-    are programmed side by side into **one** multi-copy chip image
+    The requested copies of **all repeats** are programmed side by side
+    into **one** multi-copy chip image
     (:func:`~repro.mapping.pipeline.program_chip_multicopy`: stacked
     per-core crossbar tensors, shared route table, per-copy LFSR streams)
     and the whole ``repeats x copies x batch`` volume advances in
     lock-step ticks (:func:`~repro.mapping.pipeline.run_chip_inference_multicopy`,
     grouped-input form: repeat ``r``'s encoded volume feeds exactly its
-    block of copy rows).  ``multicopy=False`` keeps the one-chip-per-copy
-    loop — bit-identical results (class counts, per-core spike counters,
-    and in stochastic mode the LFSR streams; the property tests enforce
-    it), just ``repeats x copies`` chip programs and tick loops per pass
-    instead of one.
+    block of copy rows).
 
     ``stochastic_synapses`` requests deploy the corelets' Bernoulli
     probabilities onto the crossbars and re-sample every synapse per tick;
@@ -531,8 +543,6 @@ class ChipBackend:
     against the vectorized backend.
 
     Args:
-        multicopy: fold copies (and repeats) into one chip image per pass;
-            ``False`` keeps the one-chip-per-copy loop.
         workers: fan per-level (stochastic) passes over N processes
             (``None`` = in-process, sequential); a one-pass grid runs
             in-process.
@@ -548,11 +558,9 @@ class ChipBackend:
 
     def __init__(
         self,
-        multicopy: bool = True,
         workers: Optional[int] = None,
         cores_per_chip: Optional[int] = None,
     ) -> None:
-        self.multicopy = bool(multicopy)
         self.workers = workers
         self.cores_per_chip = (
             int(cores_per_chip)
@@ -569,15 +577,10 @@ class ChipBackend:
                 "multi-copy chip images, deterministic grids read off one "
                 "max-spf pass, spike counters, router delay, stochastic "
                 "synapses)"
-                if self.multicopy
-                else "batched cycle-accurate TrueNorth simulation (one chip "
-                "per copy, deterministic grids read off one max-spf pass, "
-                "spike counters, router delay, stochastic synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
             cacheable=False,
-            multicopy_chips=self.multicopy,
             stochastic_synapses=True,
             cores_per_chip=self.cores_per_chip,
         )
@@ -586,7 +589,6 @@ class ChipBackend:
         _check_capabilities(request, self.capabilities())
         evaluation = request.evaluation_dataset()
         network = build_corelets(request.model)
-        n_k = class_neuron_counts(network)
         self.passes += 1
         repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
         results = parallel_map(
@@ -599,7 +601,6 @@ class ChipBackend:
                     repeat_rngs,
                     network,
                     request.max_copies,
-                    self.multicopy,
                     request.stochastic_synapses,
                     request.collect_spike_counters,
                     request.router_delay,
@@ -610,26 +611,14 @@ class ChipBackend:
             ],
             self.workers,
         )
-        counts = np.concatenate([level_counts for level_counts, _ in results])
-        return _result_from_cumulative(
-            request,
-            self.name,
-            _cumulative_scores(counts, n_k),
-            evaluation,
-            n_k,
-            network.core_count,
-            # spf_levels ascends, so the last pass holds the counters a
-            # single-level request at max_spf reports.
-            spike_counters=results[-1][1],
-            spf_axis_levels=request.spf_levels,
-        )
+        return _grid_result(request, self.name, results, evaluation, network)
 
 
 def _evaluate_board_pass(
     model: TrueNorthModel,
     features: np.ndarray,
     spf_levels: Tuple[int, ...],
-    repeat_rng: np.random.Generator,
+    repeat_rngs: List[np.random.Generator],
     network: CoreletNetwork,
     max_copies: int,
     stochastic: bool,
@@ -638,66 +627,42 @@ def _evaluate_board_pass(
     board_config: BoardConfig,
     segment_indices: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One board pass of one repeat (and placement segment), all ``spf_levels``.
+    """One board pass (of one placement segment), all ``spf_levels``.
 
     Module-level so :func:`repro.eval.runner.parallel_map` can pickle it
-    into worker processes.  The per-repeat randomness discipline is exactly
-    :func:`_evaluate_chip_level`'s — clone the pristine repeat generator,
-    deploy ``max_copies`` copies, encode ``max(spf_levels)`` frames, then
-    (stochastic mode) draw the per-copy LFSR seeds — so a 1x1 board with
-    ideal links reproduces the chip backend bit for bit, and every worker
-    of a sharded pass replays identical streams.  The board is programmed
-    once and every level is read off the one run (level readout, see
-    :mod:`repro.mapping.pipeline`).
+    into worker processes.  The inputs are :func:`_evaluate_chip_level`'s
+    — the same repeat-folded deployments, volumes and LFSR seeds — so a 1x1
+    board with ideal links reproduces the chip backend bit for bit.  The
+    ``repeats * max_copies`` copies fold onto the ``max_copies`` placement
+    (each chip image stacks every repeat's instances of its placed copies),
+    the grouped volume feeds every chip, and every level is read off the
+    one run (level readout, see :mod:`repro.mapping.pipeline`).
 
     ``segment_indices`` restricts programming (and hence simulation) to a
     subset of the deterministic placement's segments at their original
     board chip indices; the returned counts/counters are zero outside the
     segment's copies, so a fan-out over all segments merges by summation.
 
-    Returns ``(counts, counters)``: ``(len(spf_levels), max_copies, batch,
-    classes)`` integer readout counts and the largest level's
-    ``(max_copies, cores_per_copy, batch)`` spike counters (or ``None``).
+    Returns ``(counts, counters)`` shaped as :func:`_evaluate_chip_level`'s.
     """
-    encoder = StochasticEncoder(spikes_per_frame=spf_levels[-1])
-    neuron_config = stochastic_neuron_config(network) if stochastic else None
-    level_rng = clone_rng(repeat_rng)
-    deployment = deploy_with_copies(
-        model, copies=max_copies, rng=level_rng, corelet_network=network
+    copies, volumes, copy_seeds = _deploy_and_encode(
+        model, features, spf_levels, repeat_rngs, network, max_copies, stochastic
     )
-    frames = encoder.encode(features, rng=level_rng)
-    volume = np.ascontiguousarray(frames.transpose(1, 0, 2))
-    copy_seeds: Optional[List[int]] = None
-    if stochastic:
-        # Same post-deploy/encode draw (and no-replacement rule) as the
-        # chip backend — see _evaluate_chip_level.
-        copy_seeds = [
-            int(seed)
-            for seed in level_rng.choice(
-                np.arange(1, 2**16), size=max_copies, replace=False
-            )
-        ]
     board, program = program_board_multicopy(
-        deployment.copies,
+        copies,
         board_config,
-        neuron_config=neuron_config,
+        neuron_config=stochastic_neuron_config(network) if stochastic else None,
         router_delay=router_delay,
+        placement=place_on_board(network, max_copies, board_config),
         segment_indices=segment_indices,
     )
     counts = run_board_inference_multicopy(
-        board,
-        deployment.copies,
-        program,
-        volume,
-        copy_seeds=copy_seeds,
-        levels=spf_levels,
+        board, copies, program, volumes, copy_seeds=copy_seeds, levels=spf_levels
     )
     counters = (
-        board_spike_counters(board, deployment.copies, program)
-        if collect_counters
-        else None
+        board_spike_counters(board, copies, program) if collect_counters else None
     )
-    return counts, counters
+    return _pass_result(counts, counters, len(repeat_rngs))
 
 
 class BoardBackend:
@@ -707,28 +672,28 @@ class BoardBackend:
     level places onto a mesh of TrueNorth chips
     (:func:`~repro.mapping.placement.place_on_board`), so duplication
     sweeps extend past one chip's core budget — whole copies stack onto
-    shared chips as multi-copy images, copies larger than a chip shard
-    over consecutive chips, and every boundary-crossing spike pays
-    ``link_delay`` ticks per mesh hop on top of the router delay
-    (:class:`repro.board.board.Board`, exact latency model asserted).
+    shared chips, copies larger than a chip shard over consecutive chips,
+    and every boundary-crossing spike pays ``link_delay`` ticks per mesh
+    hop on top of the router delay (:class:`repro.board.board.Board`,
+    exact latency model asserted).  Every chip is one multi-copy chip
+    image, and repeats fold exactly as on the chip: the ``repeats x
+    max_copies`` copies share the ``max_copies`` placement, each chip
+    stacking every repeat's instances of its placed copies, and the
+    grouped per-repeat volume feeds every chip.
 
-    Unlike the chip backend, repeats are *not* folded into one image:
-    every repeat is its own board pass (placement depends only on the
-    copy count, so all passes share one deterministic placement).  The
-    spf levels are planned as on the chip.  A deterministic request reads
-    **all levels off one pass per repeat** when every spike path has one
+    The spf levels are planned as on the chip.  A deterministic request
+    reads **all levels off one pass** when every spike path has one
     latency: ``link_delay == 0``, or no copy is split (whole copies never
     touch a link).  Stochastic-synapse requests, and split copies at
     ``link_delay > 0`` — whose paths differ in hop count, so one run mixes
-    spike waves of different input ticks — take **one pass per (spf
-    level, repeat)**.  On a 1x1 board with ideal links each pass is
-    bit-identical to the single-chip engine, which transfers the chip
-    backend's equivalence guarantees to the board (the property tests pin
-    it).
+    spike waves of different input ticks — take **one pass per spf
+    level**.  On a 1x1 board with ideal links each pass is bit-identical
+    to the single-chip engine, which transfers the chip backend's
+    equivalence guarantees to the board (the property tests pin it).
 
     ``workers=N`` shards every pass over its placement segments — one
     worker process per segment (per simulated chip group), each
-    re-deploying the pass's copies from the same cloned generator and
+    re-deploying the pass's copies from the same cloned generators and
     programming only its own segment at the original board indices; the
     per-copy results merge by summation at the readout, bit-identically
     at any worker count.
@@ -739,6 +704,8 @@ class BoardBackend:
         board_shape: fixed mesh shape ``(rows, cols)``; by default each
             request gets the smallest square-ish board that fits its
             largest copy level (:func:`repro.board.topology.board_shape_for`).
+            A request that does not fit a fixed board is rejected with
+            :class:`UnsupportedRequestError` before any pass.
         link_delay: default mesh link delay (ticks per chip hop) when the
             request does not carry one; ``EvalRequest.link_delay``
             overrides it per request.
@@ -769,47 +736,57 @@ class BoardBackend:
             description=(
                 "cycle-accurate multi-chip board mesh (copies spill across "
                 "chips, split copies hand off at chip edges, mesh link "
-                "delays, spf levels read off one pass per repeat, spike "
-                "counters, stochastic synapses)"
+                "delays, repeat-folded chip images, spf levels read off one "
+                "pass, spike counters, stochastic synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
             cacheable=False,
-            multicopy_chips=True,
             stochastic_synapses=True,
             board_mesh=True,
             multi_chip_copies=True,
             cores_per_chip=self.chip_config.capacity,
         )
 
-    def _board_config(self, network: CoreletNetwork, copies: int) -> BoardConfig:
+    def _board_config(
+        self, network: CoreletNetwork, request: EvalRequest
+    ) -> BoardConfig:
         shape = self.board_shape
         if shape is None:
-            shape = board_shape_for(network.core_count, copies, self.chip_config)
+            shape = board_shape_for(
+                network.core_count, request.max_copies, self.chip_config
+            )
         return BoardConfig(
             grid_shape=shape,
             chip_config=self.chip_config,
-            link_delay=self.link_delay,
+            link_delay=(
+                self.link_delay
+                if request.link_delay is None
+                else int(request.link_delay)
+            ),
         )
 
     def evaluate(self, request: EvalRequest) -> EvalResult:
         _check_capabilities(request, self.capabilities())
         evaluation = request.evaluation_dataset()
         network = build_corelets(request.model)
-        n_k = class_neuron_counts(network)
-        self.passes += 1
-        repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
-        board_config = self._board_config(network, request.max_copies)
-        if request.link_delay is not None:
-            board_config = BoardConfig(
-                grid_shape=board_config.grid_shape,
-                chip_config=board_config.chip_config,
-                link_delay=int(request.link_delay),
-            )
+        board_config = self._board_config(network, request)
         # The placement is a pure function of (network, copies, board): it
         # tells whether a copy is split, and the parent and every worker
         # compute the same segments.
-        placement = place_on_board(network, request.max_copies, board_config)
+        try:
+            placement = place_on_board(network, request.max_copies, board_config)
+        except RuntimeError as error:
+            raise UnsupportedRequestError(
+                f"request needs {request.max_copies} copies x "
+                f"{network.core_count} cores, which does not fit backend "
+                f"{self.name!r}'s {board_config.grid_shape} board of "
+                f"{board_config.chip_config.capacity}-core chips ({error}); "
+                "use a larger board_shape, or none to size the board per "
+                "request"
+            ) from error
+        self.passes += 1
+        repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
         level_groups = _level_groups(
             request.spf_levels,
             paths_share_one_latency(placement, board_config.link_delay)
@@ -827,7 +804,7 @@ class BoardBackend:
                 request.model,
                 evaluation.features,
                 levels,
-                repeat_rng,
+                repeat_rngs,
                 network,
                 request.max_copies,
                 request.stochastic_synapses,
@@ -837,45 +814,20 @@ class BoardBackend:
                 segments,
             )
             for levels in level_groups
-            for repeat_rng in repeat_rngs
             for segments in segment_lists
         ]
         shards = parallel_map(_evaluate_board_pass, tasks, self.workers)
         # Merge each pass's segments by summation (each is zero outside its
-        # own copies); passes come back (level group, repeat)-major.
+        # own copies); passes come back level-group-major.
         per_pass = len(segment_lists)
         results: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         for base in range(0, len(shards), per_pass):
-            merged, counters = shards[base][0].copy(), shards[base][1]
-            for part, part_counters in shards[base + 1 : base + per_pass]:
-                merged += part
-                if counters is not None:
-                    counters = counters + part_counters
-            results.append((merged, counters))
-        repeats = request.repeats
-        counts = np.concatenate(
-            [
-                np.stack([c for c, _ in results[base : base + repeats]], axis=1)
-                for base in range(0, len(results), repeats)
-            ]
-        )  # (levels, repeats, copies, batch, classes)
-        spike_counters = None
-        if request.collect_spike_counters:
-            # spf_levels ascends; keep the largest level's counters,
-            # matching the chip backend's convention.
-            spike_counters = np.stack(
-                [np.asarray(c) for _, c in results[-repeats:]]
-            )
-        return _result_from_cumulative(
-            request,
-            self.name,
-            _cumulative_scores(counts, n_k),
-            evaluation,
-            n_k,
-            network.core_count,
-            spike_counters=spike_counters,
-            spf_axis_levels=request.spf_levels,
-        )
+            parts = shards[base : base + per_pass]
+            counters = None
+            if parts[0][1] is not None:
+                counters = np.sum([part[1] for part in parts], axis=0)
+            results.append((np.sum([part[0] for part in parts], axis=0), counters))
+        return _grid_result(request, self.name, results, evaluation, network)
 
 
 # ----------------------------------------------------------------------

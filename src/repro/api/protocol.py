@@ -84,10 +84,6 @@ class BackendCapabilities:
             ``collect_spike_counters`` and ``router_delay`` requests.
         cacheable: integer-seed results are deterministic cache keys the
             session layer may serve from its score cache.
-        multicopy_chips: batches all requested copies through one
-            multi-copy chip image instead of one chip (and one pass) per
-            copy — same results, ~C x less tick-loop work, ~C x one chip's
-            crossbar memory.
         stochastic_synapses: can serve ``stochastic_synapses`` requests
             (per-tick Bernoulli re-sampling of every synapse from per-copy
             hardware LFSR streams).
@@ -109,7 +105,6 @@ class BackendCapabilities:
     spf_grids: bool
     cycle_accurate: bool
     cacheable: bool
-    multicopy_chips: bool = False
     stochastic_synapses: bool = False
     board_mesh: bool = False
     multi_chip_copies: bool = False

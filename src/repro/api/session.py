@@ -235,7 +235,8 @@ class Session:
         workers: fan independent passes over N processes (vectorized:
             per-repeat passes; chip: per-spf-level passes of
             stochastic-synapse grids, since a deterministic grid is one
-            pass; board: per-repeat passes and placement segments).
+            pass; board: the same per-level passes, those of split copies
+            at ``link_delay > 0``, and placement segments).
         result_memo: result-level memo consulted (and filled) by
             :meth:`flush` for deterministic requests on *every* backend;
             share one :class:`ResultMemo` across sessions to share served

@@ -5,7 +5,9 @@ The package models an NS16e-style board as a grid of
 links (:class:`~repro.board.board.Board`); a spike crossing a chip
 boundary pays ``link_delay`` ticks per chip hop on top of the on-chip
 router delay, and the exact latency/drain model of the single-chip
-pipeline extends board-wide.  Placement and the inference drivers for
+pipeline extends board-wide.  Every programmed board chip holds one
+multi-copy chip image, exactly like the single-chip engine, and repeats
+fold onto one placement.  Placement and the inference drivers for
 boards live in :mod:`repro.mapping.placement`
 (:func:`~repro.mapping.placement.place_on_board`) and
 :mod:`repro.mapping.pipeline`

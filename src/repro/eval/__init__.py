@@ -41,7 +41,7 @@ request sets ``link_delay`` or exceeds the chip core budget),
 :class:`~repro.eval.runner.DiskScoreCache` on disk) for repeated
 evaluations of the same configuration.
 
-The chip backend defaults to **repeat-folded multi-copy chip images**:
+The chip backend runs **repeat-folded multi-copy chip images**:
 the requested copies of *all repeats* are programmed side by side
 (stacked per-core crossbar tensors, per-copy LFSR streams; each repeat
 block carries its own deployment and input volume through the chip's
@@ -55,12 +55,14 @@ per spf level, because their per-copy LFSR seeds are drawn after
 encoding.  Use it for any cycle-accurate request, including multi-spf
 grids and ``stochastic_synapses`` sweeps; copy and repeat levels are
 exact integer cumsum prefixes of the one pass, bit-identical to the
-per-(spf, repeat) loop.  ``Session(workers=N)`` additionally fans the
-per-level passes of stochastic grids over worker processes (vectorized
-requests shard over repeats instead; both are bit-identical at any
-worker count — see :func:`repro.eval.runner.parallel_map`).
-``ChipBackend(multicopy=False)`` keeps the per-copy reference loop the
-property tests pin the image against.
+per-(spf, repeat) loop.  The board backend programs every board chip as
+the same kind of image and folds repeats the same way.
+``Session(workers=N)`` additionally fans the per-level passes of
+stochastic grids over worker processes (vectorized requests shard over
+repeats instead; both are bit-identical at any worker count — see
+:func:`repro.eval.runner.parallel_map`).  The property tests pin the
+image against the scalar per-sample chip path
+(:func:`repro.mapping.pipeline.run_chip_inference`).
 """
 
 from repro.eval.accuracy import DeployedAccuracy, evaluate_deployed_accuracy

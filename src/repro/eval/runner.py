@@ -357,11 +357,12 @@ def parallel_map(
     Which axis to shard over is the caller's choice of work unit:
     :class:`SweepRunner` fans out *repeats* (each repeat is one independent
     deployment + vectorized pass; every (copies, spf) cell is a nested
-    prefix of its repeat's tensor).  The chip backend folds all repeats
-    into the stacked copy axis and reads a deterministic grid's spf levels
-    off one pass, so only its per-level passes — stochastic-synapse
-    requests, whose LFSR seeds differ per level — fan out.  The board
-    backend fans out its (level, repeat) passes and placement segments.
+    prefix of its repeat's tensor).  The chip and board backends fold all
+    repeats into the stacked copy axis and read a deterministic grid's spf
+    levels off one pass, so only their per-level passes — stochastic-synapse
+    requests, whose LFSR seeds differ per level, and split board copies at
+    ``link_delay > 0`` — fan out; the board also fans out each pass's
+    placement segments.
     """
     items = list(argument_tuples)
     if workers is not None and workers > 1 and len(items) > 1:

@@ -29,7 +29,6 @@ from repro.mapping.pipeline import (
     program_chip_multicopy,
     run_board_inference_multicopy,
     run_chip_inference,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "program_chip_multicopy",
     "run_board_inference_multicopy",
     "run_chip_inference",
-    "run_chip_inference_batch",
     "run_chip_inference_multicopy",
 ]

@@ -13,9 +13,10 @@ that fits one chip is never split (first-fit over the chips, so one chip
 stacks as many whole copies as its capacity allows), while a copy larger
 than one chip claims consecutive fully-empty chips and is sharded across
 them in layer-major corelet order.  A chip therefore hosts *either* whole
-copies *or* one shard of a split copy, never both, which is what lets the
-runtime drive whole-copy chips with the stacked multi-copy engine and
-shard chips with plain single-copy batches (see
+copies *or* one shard of a split copy, never both, so every chip is one
+chip image — one flat corelet range of a tuple of copies, the full range
+for whole copies and a sub-range for a shard — and repeats fold onto the
+placement by stacking each placed copy's instances on its chips (see
 :mod:`repro.mapping.pipeline`).
 """
 
@@ -112,12 +113,11 @@ class BoardSegment:
     """One independently simulable unit of a board placement.
 
     A segment is either a set of *whole* copies stacked on one chip
-    (``split=False``, one chip, one multi-copy image at run time) or one
-    copy *split* across several consecutive chips (``split=True``, one
-    single-copy shard per chip).  Segments never exchange spikes with each
-    other — inter-chip traffic only occurs between the shard chips of one
-    split copy — which is what makes them the sharding unit of the serving
-    tier.
+    (``split=False``, one chip) or one copy *split* across several
+    consecutive chips (``split=True``, one shard per chip).  Segments never
+    exchange spikes with each other — inter-chip traffic only occurs
+    between the shard chips of one split copy — which is what makes them
+    the sharding unit of the serving tier.
 
     Attributes:
         chips: board chip indices the segment occupies, in shard order.
@@ -161,6 +161,11 @@ class BoardPlacement:
     def occupied_cores(self) -> int:
         """Number of physical cores occupied across the board."""
         return len(self.assignments)
+
+    @property
+    def copy_count(self) -> int:
+        """Number of copies the placement hosts."""
+        return sum(len(segment.copies) for segment in self.segments)
 
     def chip_of(self, copy: int, layer: int, corelet_index: int) -> int:
         """Board index of the chip hosting one corelet."""

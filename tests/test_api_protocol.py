@@ -119,7 +119,6 @@ def test_capability_flags_match_design():
     # multi-copy images, reading every spf level of a deterministic grid
     # off one max-spf pass.
     assert ChipBackend().capabilities().spf_grids
-    assert ChipBackend(multicopy=False).capabilities().spf_grids
     assert not ReferenceBackend().capabilities().cacheable
 
 

@@ -20,6 +20,11 @@ The board subsystem's equivalence discipline, pinned at ``atol=0``:
 * level readout: on a split-copy board at ``link_delay=0`` every spf level
   read off one max-spf run equals a standalone run of that many ticks,
   and the driver refuses several levels where paths differ in latency;
+* repeat folding: a program stacking R repeats' copies onto one
+  placement, fed the grouped per-repeat volume, equals one board run per
+  repeat — counts, spike counters, link traffic and LFSR registers — for
+  whole copies and split copies at ``link_delay`` 0 and 1, the
+  unequal-path layout included;
 * ``board.reset()`` drops run state but not programming — a rerun after a
   completed (or drained) run reproduces the first run exactly, link
   counters included;
@@ -43,6 +48,7 @@ from repro.api.backends import (
     register_backend,
 )
 from repro.board import BoardConfig
+from repro.mapping.placement import place_on_board
 from repro.mapping.pipeline import (
     board_spike_counters,
     program_board_multicopy,
@@ -88,6 +94,19 @@ def _chip_reference(copies, volumes, neuron_config, delay, seeds):
     return chip, flat, counts, counters
 
 
+def _lfsr_states(board, program):
+    """``(global copy, flat corelet) -> LFSR register`` of every board core."""
+    states = {}
+    for chip_index, image in program.images.items():
+        chip = board.chips[chip_index]
+        for core_id, flat in enumerate(range(image.lo, image.hi)):
+            core = chip.core(core_id)
+            prngs = core.copy_prngs or [core.prng] * len(image.copies)
+            for local, copy in enumerate(image.copies):
+                states[(copy, flat)] = prngs[local].state
+    return states
+
+
 # ----------------------------------------------------------------------
 # pipeline level: 1x1 board identity
 # ----------------------------------------------------------------------
@@ -126,8 +145,14 @@ def test_board_1x1_bit_identical_to_single_chip(
         chip_config=_identity_chip_config(network.core_count, n_copies),
         link_delay=0,
     )
+    # A grouped volume (one block per copy) folds the copies as repeats of
+    # a one-copy placement: the one chip then holds the same image.
     board, program = program_board_multicopy(
-        copies, config, neuron_config=neuron_config, router_delay=delay
+        copies,
+        config,
+        neuron_config=neuron_config,
+        router_delay=delay,
+        placement=place_on_board(network, 1 if grouped else n_copies, config),
     )
     counts = run_board_inference_multicopy(
         board, copies, program, volumes, copy_seeds=copy_seeds
@@ -199,18 +224,32 @@ def test_whole_copy_spread_is_invariant_and_traffic_free(depth, stochastic, seed
     depth=st.integers(min_value=2, max_value=3),
     delay=st.integers(min_value=1, max_value=3),
     link_delay=st.integers(min_value=0, max_value=2),
+    stochastic=st.booleans(),
+    seeded=st.booleans(),
     seed=st.integers(min_value=0, max_value=100),
 )
 @_SETTINGS
-def test_split_copy_handoff_matches_single_chip(depth, delay, link_delay, seed):
+def test_split_copy_handoff_matches_single_chip(
+    depth, delay, link_delay, stochastic, seeded, seed
+):
+    if stochastic:
+        # Synapses are re-sampled every tick, so a spike arriving later
+        # meets another sample: only ideal links keep the counts.
+        link_delay = 0
     rng = np.random.default_rng(seed)
     n_copies = 2
-    copies = random_deployed_copies(rng, n_copies, depth)
+    copies = random_deployed_copies(
+        rng, n_copies, depth, fractional_probabilities=stochastic
+    )
     network = copies[0].corelet_network
+    neuron_config = _STOCHASTIC if stochastic else None
+    copy_seeds = (
+        [int(s) for s in rng.integers(1, 2**16, size=n_copies)] if seeded else None
+    )
     volumes = (rng.random((3, 3, network.input_dim)) < 0.45).astype(np.int8)
 
-    chip, _, ref_counts, ref_counters = _chip_reference(
-        copies, volumes, None, delay, None
+    chip, flat, ref_counts, ref_counters = _chip_reference(
+        copies, volumes, neuron_config, delay, copy_seeds
     )
 
     half = (network.core_count + 1) // 2
@@ -219,9 +258,11 @@ def test_split_copy_handoff_matches_single_chip(depth, delay, link_delay, seed):
         link_delay=link_delay,
     )
     board, program = program_board_multicopy(
-        copies, config, router_delay=delay
+        copies, config, neuron_config=neuron_config, router_delay=delay
     )
-    counts = run_board_inference_multicopy(board, copies, program, volumes)
+    counts = run_board_inference_multicopy(
+        board, copies, program, volumes, copy_seeds=copy_seeds
+    )
 
     assert program.placement.split_copies() == tuple(range(n_copies))
     stats = program.placement.mesh_statistics()
@@ -244,6 +285,13 @@ def test_split_copy_handoff_matches_single_chip(depth, delay, link_delay, seed):
         board.fabric.spikes_carried * max(1, stats["max_chip_distance"])
     )
     assert board.fabric.spikes_carried == sum(board.fabric.pair_counts.values())
+    # Shard cores replay the unsplit chip's LFSR streams (copy seed plus
+    # the shard's corelet offset).
+    assert _lfsr_states(board, program) == {
+        (copy, index): chip.core(core_id).copy_prngs[copy].state
+        for index, core_id in enumerate(flat)
+        for copy in range(n_copies)
+    }
 
 
 @given(
@@ -315,6 +363,97 @@ def test_unequal_link_paths_change_counts_and_refuse_level_readout():
     )
 
 
+# ----------------------------------------------------------------------
+# pipeline level: repeats folded onto one placement
+# ----------------------------------------------------------------------
+#: placed copies, chip core grid (from the copy's core count) and board
+#: shape of each folding layout.
+_FOLD_LAYOUTS = {
+    # Two whole copies per chip: a chip's folded copies are not contiguous.
+    "whole": (3, lambda cores: (2, cores), (1, 2)),
+    # Every copy split over two chips, spikes crossing the mesh links.
+    "split": (2, lambda cores: (1, (cores + 1) // 2), (2, 2)),
+    # One core per chip on a 2x2 mesh: transition paths of 1 and 2 hops.
+    "unequal": (1, lambda cores: (1, 1), (2, 2)),
+}
+
+
+@given(
+    layout=st.sampled_from(sorted(_FOLD_LAYOUTS)),
+    depth=st.integers(min_value=2, max_value=3),
+    link_delay=st.integers(min_value=0, max_value=1),
+    stochastic=st.booleans(),
+    repeats=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=100),
+)
+@_SETTINGS
+def test_board_repeat_folding_matches_one_run_per_repeat(
+    layout, depth, link_delay, stochastic, repeats, seed
+):
+    if layout == "unequal":
+        depth = 2  # four 1-core chips hold exactly one depth-2 copy
+    placed, chip_grid, board_shape = _FOLD_LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    flat = random_deployed_copies(
+        rng, repeats * placed, depth, fractional_probabilities=stochastic
+    )
+    network = flat[0].corelet_network
+    neuron_config = _STOCHASTIC if stochastic else None
+    seeds = [int(s) for s in rng.integers(1, 2**16, size=len(flat))]
+    volumes = (rng.random((repeats, 3, 3, network.input_dim)) < 0.45).astype(
+        np.int8
+    )
+    config = BoardConfig(
+        grid_shape=board_shape,
+        chip_config=ChipConfig(grid_shape=chip_grid(network.core_count)),
+        link_delay=link_delay,
+    )
+    placement = place_on_board(network, placed, config)
+    assert placement.copy_count == placed
+
+    board, program = program_board_multicopy(
+        flat, config, neuron_config=neuron_config, placement=placement
+    )
+    folded = run_board_inference_multicopy(
+        board, flat, program, volumes, copy_seeds=seeds
+    )
+    counters = board_spike_counters(board, flat, program)
+    states = _lfsr_states(board, program)
+
+    link_spikes = 0
+    per_repeat_states = {}
+    for r in range(repeats):
+        rows = slice(r * placed, (r + 1) * placed)
+        group = flat[rows]
+        alone, alone_program = program_board_multicopy(
+            group, config, neuron_config=neuron_config
+        )
+        counts = run_board_inference_multicopy(
+            alone, group, alone_program, volumes[r], copy_seeds=seeds[rows]
+        )
+        assert np.array_equal(folded[rows], counts)
+        assert np.array_equal(
+            counters[rows], board_spike_counters(alone, group, alone_program)
+        )
+        link_spikes += alone.fabric.spikes_carried
+        # The folded run drains while any repeat has spikes in flight; idle
+        # this board to the same tick so its registers drew as often.
+        while alone.tick < board.tick:
+            alone.step_batch()
+        for (copy, core), state in _lfsr_states(alone, alone_program).items():
+            per_repeat_states[(r * placed + copy, core)] = state
+    assert board.fabric.spikes_carried == link_spikes
+    assert states == per_repeat_states
+    if layout != "whole":
+        assert program.placement.split_copies()
+    if placed > 1:
+        # One block per copy would feed a chip's copies out of order.
+        with pytest.raises(ValueError, match="takes 1 or"):
+            run_board_inference_multicopy(
+                board, flat, program, np.repeat(volumes, placed, axis=0)
+            )
+
+
 def test_board_reset_reproduces_the_run():
     rng = np.random.default_rng(7)
     copies = random_deployed_copies(rng, 2, 2)
@@ -361,20 +500,15 @@ def test_reset_during_drain_discards_in_flight_spikes():
     # Start a second run by hand and abandon it while spikes are in flight.
     from repro.mapping.pipeline import INPUT_CHANNEL, _gather_input_volumes
 
-    for chip_index in program.shard_chips:
-        board.chips[chip_index].begin_batch(volumes.shape[0], copies=1)
     per_binding = _gather_input_volumes(network, volumes)
-    inputs = {
-        chip_index: {
-            INPUT_CHANNEL: {
-                binding: per_binding[corelet][:, 0, :]
-                for binding, corelet in enumerate(
-                    program.shard_inputs[chip_index]
-                )
+    inputs = {}
+    for chip_index, image in program.images.items():
+        board.chips[chip_index].begin_batch(volumes.shape[0], copies=1)
+        feed = per_binding[image.lo : image.hi]
+        if feed:
+            inputs[chip_index] = {
+                INPUT_CHANNEL: {b: volume[:, 0, :] for b, volume in enumerate(feed)}
             }
-        }
-        for chip_index in program.shard_inputs
-    }
     board.step_batch(inputs)
     board.reset()
     assert not board.has_pending()
@@ -458,6 +592,29 @@ def test_link_delay_changes_nothing_for_history_free_copies(model_and_dataset):
     slow = BoardBackend(chip_config=small).evaluate(delayed)
     assert slow.backend == "board"
     assert np.array_equal(ideal.class_counts(), slow.class_counts())
+
+
+def test_fixed_board_too_small_is_rejected_before_any_pass(
+    model_and_dataset, monkeypatch
+):
+    import repro.api.backends as backends
+
+    model, dataset = model_and_dataset
+    cores = model.architecture.cores_per_network
+    # Two one-copy chips cannot hold the four copies of copy level 4.
+    backend = BoardBackend(
+        chip_config=ChipConfig(grid_shape=(1, cores)), board_shape=(1, 2)
+    )
+    passes = []
+    monkeypatch.setattr(
+        backends, "_evaluate_board_pass", lambda *args: passes.append(args)
+    )
+    request = _request(model, dataset, copy_levels=(1, 4), spf_levels=(1,))
+    with pytest.raises(
+        UnsupportedRequestError, match=rf"4 copies x {cores} cores.*\(1, 2\) board"
+    ):
+        backend.evaluate(request)
+    assert passes == [] and backend.passes == 0
 
 
 def test_link_delay_is_gated_off_non_board_backends(model_and_dataset):

@@ -1,8 +1,9 @@
 """Batched-vs-scalar chip equivalence: the batch engine must be bit-identical.
 
-The batched tick engine (``begin_batch``/``step_batch``/
-``run_chip_inference_batch``) advances B samples in lock-step through the
-same programmed chip the scalar path steps one sample at a time.  These
+The batched tick engine (``begin_batch``/``step_batch``, driven by
+``run_chip_inference_multicopy`` as a one-copy run) advances B samples in
+lock-step through the same programmed chip the scalar path steps one
+sample at a time.  These
 tests build random corelet networks — varying depth, router delay,
 history-free vs stateful LIF neurons, shuffled inter-layer wiring, and
 readout sizes with ``output_dim % num_classes != 0`` — and assert that the
@@ -20,7 +21,7 @@ from repro.mapping.deploy import DeployedNetwork
 from repro.mapping.pipeline import (
     program_chip,
     run_chip_inference,
-    run_chip_inference_batch,
+    run_chip_inference_multicopy,
 )
 from repro.truenorth.config import CoreConfig, NeuronConfig
 from repro.truenorth.core import NeurosynapticCore
@@ -112,7 +113,9 @@ def assert_batch_matches_scalar(deployed, chip, core_ids, volumes):
             chip, deployed, core_ids, volumes[index]
         )
         scalar_spikes[index] = [chip.core(c).spike_count for c in core_order]
-    batch_counts = run_chip_inference_batch(chip, deployed, core_ids, volumes)
+    batch_counts = run_chip_inference_multicopy(
+        chip, [deployed], core_ids, volumes
+    )[0]
     batch_spikes = np.stack(
         [chip.core(c).batch_spike_counts for c in core_order], axis=1
     )

@@ -17,8 +17,7 @@ replaced, at ``atol=0``:
   history-free, LIF and stochastic neurons, and grouped volumes;
 * backend level — ``ChipBackend`` and ``BoardBackend`` multi-spf grids
   (one pass for all levels, or one per level) vs single-level requests,
-  ``ChipBackend`` vs the ``multicopy=False`` loop, and ``workers=2``
-  process fan-out over per-level (stochastic) passes;
+  and ``workers=2`` process fan-out over per-level (stochastic) passes;
 * programming level — per-core-fit trimming gives heterogeneous corelets
   their own crossbar geometry in deterministic mode while stochastic
   images keep the network-uniform shape (the LFSR sample layout is a
@@ -465,10 +464,10 @@ def test_backend_grid_matches_single_level_requests(
 def test_backend_pass_plan(monkeypatch):
     """Which grids fold into one pass, and which take one pass per level.
 
-    Deterministic chip grids take one pass, deterministic board grids one
-    per repeat when every path has one latency (whole copies, or
-    ``link_delay=0``).  Stochastic requests, and split copies at
-    ``link_delay > 0``, read one level per pass.
+    Repeats fold on the chip and the board alike, so a deterministic grid
+    takes one pass whenever every path has one latency (the chip, whole
+    board copies, or ``link_delay=0``).  Stochastic requests, and split
+    copies at ``link_delay > 0``, read one level per pass.
     """
     import repro.api.backends as backends
 
@@ -487,34 +486,15 @@ def test_backend_pass_plan(monkeypatch):
     cases = [
         (ChipBackend(), {}, [grid]),
         (ChipBackend(), {"stochastic_synapses": True}, per_level),
-        (BoardBackend(), {"link_delay": 1}, [grid, grid]),
-        (BoardBackend(chip_config=half), {"link_delay": 0}, [grid, grid]),
-        (BoardBackend(chip_config=half), {"link_delay": 1}, per_level * 2),
-        (BoardBackend(), {"stochastic_synapses": True}, per_level * 2),
+        (BoardBackend(), {"link_delay": 1}, [grid]),
+        (BoardBackend(chip_config=half), {"link_delay": 0}, [grid]),
+        (BoardBackend(chip_config=half), {"link_delay": 1}, per_level),
+        (BoardBackend(), {"stochastic_synapses": True}, per_level),
     ]
     for backend, fields, expected in cases:
         passes.clear()
         backend.evaluate(_request(spf_levels=grid, **fields))
         assert sorted(passes) == sorted(expected), (backend.name, fields)
-
-
-@settings(max_examples=4, deadline=None)
-@given(
-    stochastic=st.booleans(),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-def test_backend_grid_multicopy_matches_percopy_loop(stochastic, seed):
-    """The folded grid equals the one-chip-per-(repeat, copy) loop."""
-    request = _request(
-        repeats=2,
-        seed=seed,
-        stochastic_synapses=stochastic,
-        collect_spike_counters=True,
-    )
-    _assert_results_equal(
-        ChipBackend(multicopy=True).evaluate(request),
-        ChipBackend(multicopy=False).evaluate(request),
-    )
 
 
 def test_backend_grid_bit_identical_with_worker_fanout():

@@ -1,16 +1,18 @@
-"""Multi-copy chip engine vs the one-chip-per-copy loop: bit-identical.
+"""Multi-copy chip engine vs the scalar per-sample path: bit-identical.
 
 The multi-copy engine programs C sampled copies side by side into one chip
 image (stacked per-core crossbar tensors, shared route table, per-copy LFSR
 streams) and advances all ``C * batch`` rows in lock-step
 (:func:`repro.mapping.pipeline.run_chip_inference_multicopy`).  These
-hypothesis-driven property tests pin it against C independent
-:func:`run_chip_inference_batch` runs at ``atol=0`` over copies in
+hypothesis-driven property tests pin it against the scalar reference — each
+copy's own single-copy chip (:func:`program_chip`), one
+:func:`run_chip_inference` per (copy, sample) — at ``atol=0`` over copies in
 {1, 2, 5}, router delays > 1, history-free and stateful LIF neurons, and
-stochastic-synapse deployments — comparing per-copy class counts, per-core
-spike counters, summed router delivered/hop counters, and (in stochastic
-mode) the final per-copy LFSR register states.  A mid-run ``reset()`` must
-preserve the programmed routes and replay the identical run.
+stochastic-synapse deployments, comparing per-copy class counts, per-core
+spike counters (``core.spike_count`` of each scalar run), summed router
+delivered/hop counters, and the final per-copy LFSR register states.  A
+mid-run ``reset()`` must preserve the programmed routes and replay the
+identical run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.mapping.pipeline import (
     program_chip,
     program_chip_multicopy,
     run_chip_inference,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
 )
 from repro.truenorth.config import NeuronConfig
@@ -76,8 +77,14 @@ def random_deployed_copies(
     return copies
 
 
-def run_percopy_loop(copies, volumes, neuron_config, delay, copy_seeds):
-    """The reference: one programmed chip and one batched pass per copy."""
+def run_scalar_oracle(copies, volumes, neuron_config, delay, copy_seeds, ticks):
+    """The reference: each copy's own chip, one scalar run per sample.
+
+    A multi-copy run drains while any (copy, sample) still has spikes in
+    flight, so once a copy's last sample is done its chip idles on to
+    ``ticks`` (the multi-copy run's length) before the LFSR registers are
+    read: every register has then drawn once per tick, like the image's.
+    """
     counts, spikes, states = [], [], []
     delivered = hops = 0
     for index, copy in enumerate(copies):
@@ -87,27 +94,33 @@ def run_percopy_loop(copies, volumes, neuron_config, delay, copy_seeds):
             router_delay=delay,
             core_seed=0 if copy_seeds is None else copy_seeds[index],
         )
-        counts.append(run_chip_inference_batch(chip, copy, core_ids, volumes))
         order = [cid for layer in core_ids for cid in layer]
-        spikes.append(np.stack([chip.core(k).batch_spike_counts for k in order]))
+        copy_counts, copy_spikes = [], []
+        for frames in volumes:
+            copy_counts.append(run_chip_inference(chip, copy, core_ids, frames))
+            copy_spikes.append([chip.core(k).spike_count for k in order])
+            delivered += chip.router.delivered_count
+            hops += chip.router.hop_count
+        while chip.tick < ticks:
+            chip.step()
+        counts.append(copy_counts)
+        spikes.append(np.array(copy_spikes, dtype=np.int64).T)
         states.append([chip.core(k).prng.state for k in order])
-        delivered += chip.router.delivered_count
-        hops += chip.router.hop_count
-    return np.stack(counts), np.stack(spikes), states, (delivered, hops)
+    return np.array(counts, dtype=np.int64), np.stack(spikes), states, (delivered, hops)
 
 
 def assert_multicopy_matches_percopy(
     copies, volumes, neuron_config=None, delay=1, copy_seeds=None
 ):
     """Program both ways, run both engines, compare everything at atol=0."""
-    counts, spikes, states, router = run_percopy_loop(
-        copies, volumes, neuron_config, delay, copy_seeds
-    )
     chip, core_ids = program_chip_multicopy(
         copies, neuron_config=neuron_config, router_delay=delay
     )
     multi = run_chip_inference_multicopy(
         chip, copies, core_ids, volumes, copy_seeds=copy_seeds
+    )
+    counts, spikes, states, router = run_scalar_oracle(
+        copies, volumes, neuron_config, delay, copy_seeds, chip.tick
     )
     order = [cid for layer in core_ids for cid in layer]
     multi_spikes = np.stack(
@@ -173,7 +186,7 @@ def test_multicopy_stochastic_lfsr_streams_bit_identical(
 ):
     """Per-copy LFSR streams equal the one-chip-per-copy simulation's.
 
-    Each copy is assigned its own ``core_seed`` (per-copy loop) /
+    Each copy is assigned its own ``core_seed`` (scalar oracle) /
     ``copy_seeds`` entry (multi-copy image); counts, spike counters, and the
     final LFSR register of every (copy, core) must coincide.
     """

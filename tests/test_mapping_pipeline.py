@@ -10,7 +10,7 @@ from repro.mapping.deploy import DeployedNetwork, deploy_model
 from repro.mapping.pipeline import (
     program_chip,
     run_chip_inference,
-    run_chip_inference_batch,
+    run_chip_inference_multicopy,
 )
 
 
@@ -97,14 +97,16 @@ def test_run_chip_inference_validates_shape(deployed_copy):
         run_chip_inference(chip, deployed_copy, core_ids, np.zeros((2, 5)))
 
 
-def test_run_chip_inference_batch_validates_shape(deployed_copy):
+def test_run_chip_inference_multicopy_validates_shape(deployed_copy):
     chip, core_ids = program_chip(deployed_copy)
     with pytest.raises(ValueError):
-        run_chip_inference_batch(chip, deployed_copy, core_ids, np.zeros((3, 2, 5)))
+        run_chip_inference_multicopy(
+            chip, [deployed_copy], core_ids, np.zeros((3, 2, 5))
+        )
     with pytest.raises(ValueError):
-        run_chip_inference_batch(
+        run_chip_inference_multicopy(
             chip,
-            deployed_copy,
+            [deployed_copy],
             core_ids,
             np.zeros((4, deployed_copy.corelet_network.input_dim)),
         )
@@ -141,21 +143,21 @@ def test_drain_is_exact_for_layer_depth_and_router_delay():
         counts = run_chip_inference(chip, deployed, core_ids, frames)
         assert chip.tick == frames.shape[0] + (2 - 1) * delay
         assert not chip.router.has_pending()
-        batch_counts = run_chip_inference_batch(
-            chip, deployed, core_ids, frames[None]
-        )
+        batch_counts = run_chip_inference_multicopy(
+            chip, [deployed], core_ids, frames[None]
+        )[0]
         assert chip.tick == frames.shape[0] + (2 - 1) * delay
         assert np.array_equal(batch_counts[0], counts)
 
 
 def test_empty_batch_returns_empty_counts(deployed_copy):
     chip, core_ids = program_chip(deployed_copy)
-    counts = run_chip_inference_batch(
+    counts = run_chip_inference_multicopy(
         chip,
-        deployed_copy,
+        [deployed_copy],
         core_ids,
         np.zeros((0, 3, deployed_copy.corelet_network.input_dim), dtype=np.int8),
-    )
+    )[0]
     assert counts.shape == (0, deployed_copy.corelet_network.num_classes)
 
 
@@ -175,7 +177,7 @@ def test_negative_leak_lif_rejected():
     with pytest.raises(ValueError, match="leak"):
         run_chip_inference(chip, deployed, core_ids, frames)
     with pytest.raises(ValueError, match="leak"):
-        run_chip_inference_batch(chip, deployed, core_ids, frames[None])
+        run_chip_inference_multicopy(chip, [deployed], core_ids, frames[None])
 
 
 def test_self_refiring_lif_rejected():
@@ -190,7 +192,7 @@ def test_self_refiring_lif_rejected():
     with pytest.raises(ValueError, match="reset"):
         run_chip_inference(chip, deployed, core_ids, frames)
     with pytest.raises(ValueError, match="reset"):
-        run_chip_inference_batch(chip, deployed, core_ids, frames[None])
+        run_chip_inference_multicopy(chip, [deployed], core_ids, frames[None])
 
 
 def test_multi_layer_rejects_zero_router_delay():
@@ -202,7 +204,7 @@ def test_multi_layer_rejects_zero_router_delay():
     with pytest.raises(ValueError):
         run_chip_inference(chip, deployed, core_ids, frames)
     with pytest.raises(ValueError):
-        run_chip_inference_batch(chip, deployed, core_ids, frames[None])
+        run_chip_inference_multicopy(chip, [deployed], core_ids, frames[None])
 
 
 def test_chip_predictions_reasonable_on_training_like_input(
