@@ -17,22 +17,23 @@ service promises breaks:
 
 ``--soak`` switches to the durability harness instead: a sustained mixed
 burst (with client-side ``Retry-After`` back-off) driven through overload
-against an adaptive-admission server with a request journal, followed by a
-mid-run server restart that must warm from the journal and answer the
-repeated burst without a single fresh engine pass — all while the
-``/metrics`` conservation invariants hold and the observed p95 stays
-within the controller target.
+against an adaptive-admission server with a ``cache_dir``, followed by a
+mid-run server restart on the same directory that must boot without an
+engine pass and answer the repeated burst without a single fresh engine
+pass — all while the ``/metrics`` conservation invariants hold and the
+observed p95 stays within the controller target.
 
-``--soak --fleet N`` runs the *fleet* drill instead: N journaled replicas
-behind one front router (:mod:`repro.serve.front`).  A warm wave routes
-through the front (bit-identical to direct ``Session.evaluate``), then the
-hosted model's home replica is killed in the middle of a concurrent burst
-— which must be absorbed by deterministic failover with **zero**
-client-visible 5xx — then the victim restarts on its old port, rejoins the
-ring, warms from its journal, and the repeated burst must cost zero fresh
-engine passes fleet-wide.  Throughout, the front's aggregated ``/metrics``
-must conserve: ``received == admitted + rejected`` fleet-wide, and the
-front's own ``received == routed + shed + unavailable``.
+``--soak --fleet N`` runs the *fleet* drill instead: N replicas sharing
+one ``cache_dir`` behind one front router (:mod:`repro.serve.front`).  A
+warm wave routes through the front (bit-identical to direct
+``Session.evaluate``), then the hosted model's home replica is killed in
+the middle of a concurrent burst — which must be absorbed by
+deterministic failover with **zero** client-visible 5xx — then the victim
+restarts on its old port, rejoins the ring, and the repeated burst must
+cost zero fresh engine passes fleet-wide.  Throughout, the front's
+aggregated ``/metrics`` must conserve: ``received == admitted + rejected``
+fleet-wide, and the front's own ``received == routed + shed +
+unavailable``.
 
 Usage::
 
@@ -63,7 +64,6 @@ from repro.serve import (
     FrontConfig,
     FrontServer,
     ModelRegistry,
-    RequestJournal,
     ServeClient,
     ServeConfig,
     ServiceOverloadedError,
@@ -89,8 +89,8 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--soak",
         action="store_true",
-        help="run the soak harness (overload + restart + journal warm) "
-        "instead of the plain smoke",
+        help="run the soak harness (overload + warm restart) instead of the "
+        "plain smoke",
     )
     parser.add_argument(
         "--soak-waves",
@@ -369,7 +369,7 @@ def run_soak_wave(server, payloads, failures, wave: str):
 
 
 def run_soak(registry, args, failures):
-    """Overload -> sustained waves -> mid-run restart -> journal-warm replay."""
+    """Overload -> sustained waves -> mid-run restart -> warm replay."""
     payloads = soak_payloads(args.samples)
     record = {
         "waves": args.soak_waves,
@@ -378,8 +378,7 @@ def run_soak(registry, args, failures):
         "target_p95": args.target_p95,
     }
     with tempfile.TemporaryDirectory(prefix="repro-serve-soak-") as workdir:
-        journal_path = os.path.join(workdir, "journal.jsonl")
-        cache_dir = os.path.join(workdir, "score-cache")
+        cache_dir = os.path.join(workdir, "results")
 
         def make_config():
             return ServeConfig(
@@ -388,7 +387,6 @@ def run_soak(registry, args, failures):
                 worker_mode=args.worker_mode,
                 queue_depth=4,  # small starting bound: wave 1 must overload
                 target_p95=args.target_p95,
-                journal_path=journal_path,
                 cache_dir=cache_dir,
             )
 
@@ -440,17 +438,18 @@ def run_soak(registry, args, failures):
             server.close()
         record["soak_seconds"] = time.perf_counter() - start
 
-        # --- phase 2: restart, warm from the journal, replay the burst -
-        journaled = len(RequestJournal(journal_path).replay())
+        # --- phase 2: restart on the same cache_dir, replay the burst ---
+        boot_start = time.perf_counter()
         server = EvalServer(registry, make_config()).start()
+        record["restart_boot_seconds"] = time.perf_counter() - boot_start
         try:
             client = ServeClient(port=server.port, timeout=60.0)
             boot = client.metrics()
-            warmed = (boot["journal"] or {}).get("warmed_at_boot")
-            if warmed != journaled:
+            record["boot_engine_passes"] = boot["sessions"]["engine_passes"]
+            if boot["sessions"]["engine_passes"] != 0:
                 failures.append(
-                    f"restart: warmed {warmed} of {journaled} journaled "
-                    "fingerprints"
+                    f"restart: boot ran {boot['sessions']['engine_passes']} "
+                    "engine passes"
                 )
             passes_before = boot["sessions"]["engine_passes"]
             memo_hits_before = boot["memo"]["hits"]
@@ -472,13 +471,11 @@ def run_soak(registry, args, failures):
             if fresh_passes != 0:
                 failures.append(
                     f"restart: repeated burst cost {fresh_passes} fresh "
-                    "engine passes (journal warm-up must cover it)"
+                    "engine passes (the result store must cover it)"
                 )
             if after["memo"]["hits"] <= memo_hits_before:
                 failures.append("restart: the result memo never hit")
-            record["journal"] = after["journal"]
             record["memo"] = after["memo"]
-            record["warmed_at_boot"] = warmed
             record["replay_engine_passes"] = fresh_passes
         finally:
             server.close()
@@ -511,7 +508,7 @@ def check_fleet_invariants(metrics, failures, where: str) -> None:
 
 
 def run_fleet_soak(registry, args, failures):
-    """Warm wave -> mid-burst replica kill -> rejoin -> journal-warm repeat."""
+    """Warm wave -> mid-burst replica kill -> rejoin -> warm repeat."""
     payloads = soak_payloads(args.samples)
     record = {
         "fleet": args.fleet,
@@ -519,24 +516,22 @@ def run_fleet_soak(registry, args, failures):
         "worker_mode": args.worker_mode,
     }
     with tempfile.TemporaryDirectory(prefix="repro-serve-fleet-") as workdir:
-        cache_dir = os.path.join(workdir, "score-cache")
+        cache_dir = os.path.join(workdir, "results")
 
-        def make_config(index: int, port: int = 0) -> ServeConfig:
-            # Per-replica journal (each replica owns its admissions), one
-            # shared on-disk score cache (its writes are atomic by design).
+        def make_config(port: int = 0) -> ServeConfig:
+            # One result store shared by every replica (its writes are
+            # atomic by design), so a survivor serves the victim's results.
             return ServeConfig(
                 port=port,
                 workers=args.workers,
                 worker_mode=args.worker_mode,
                 queue_depth=16,
                 target_p95=args.target_p95,
-                journal_path=os.path.join(workdir, f"journal-{index}.jsonl"),
                 cache_dir=cache_dir,
             )
 
         replicas = [
-            EvalServer(registry, make_config(index)).start()
-            for index in range(args.fleet)
+            EvalServer(registry, make_config()).start() for _ in range(args.fleet)
         ]
         ports = [replica.port for replica in replicas]
         front = FrontServer(
@@ -551,7 +546,7 @@ def run_fleet_soak(registry, args, failures):
         burst = payloads * 2
         threads = []
         try:
-            # --- warm wave: every payload journals at its home replica --
+            # --- warm wave: every result lands in the shared store -----
             start = time.perf_counter()
             responses = {}
             for index, payload in enumerate(payloads):
@@ -618,11 +613,12 @@ def run_fleet_soak(registry, args, failures):
                     f"replicas, expected {args.fleet - 1}"
                 )
 
-            # --- restart the victim on its old port: rejoin + warm ------
+            # --- restart the victim on its old port and rejoin ----------
             start = time.perf_counter()
             replicas[victim] = EvalServer(
-                registry, make_config(victim, port=ports[victim])
+                registry, make_config(port=ports[victim])
             ).start()
+            record["restart_boot_seconds"] = time.perf_counter() - start
             for _ in range(100):
                 if client.health()["healthy"] == args.fleet:
                     break
@@ -634,15 +630,6 @@ def run_fleet_soak(registry, args, failures):
                 failures.append(
                     "fleet rejoin: rendezvous hashing did not restore the "
                     "original assignment"
-                )
-            victim_client = ServeClient(port=ports[victim], timeout=60.0)
-            boot = victim_client.metrics()
-            warmed = (boot["journal"] or {}).get("warmed_at_boot", 0)
-            record["warmed_at_boot"] = warmed
-            if not warmed:
-                failures.append(
-                    "fleet rejoin: the restarted home replica warmed nothing "
-                    "from its journal"
                 )
 
             # --- repeated burst: zero fresh engine passes fleet-wide ----
@@ -674,7 +661,7 @@ def run_fleet_soak(registry, args, failures):
             if fresh != 0:
                 failures.append(
                     f"fleet repeat: repeated burst cost {fresh} fresh engine "
-                    "passes (journal warm-up must cover the takeover)"
+                    "passes (the shared result store must cover the takeover)"
                 )
 
             # --- aggregated metrics: conservation + fleet bookkeeping ---

@@ -12,16 +12,21 @@ One stable API in front of the repo's evaluation engines:
   with link delays for duplication levels past one chip's core budget),
   ``reference`` (the per-corelet ground-truth loop).
 * :class:`Session` — the serving facade: backend selection (explicit or
-  capability-based ``auto``), the persistent score caches, and request
-  batching that coalesces queued requests onto shared engine passes.
+  capability-based ``auto``), the score cache, and request batching that
+  coalesces queued requests onto shared engine passes.
+* :class:`ResultMemo` — the result store of every backend, keyed by the
+  session's coalescing key; with a ``cache_dir`` it persists results to
+  disk for other processes and later runs.
 
 Quickstart::
 
-    from repro.api import EvalRequest, Session
+    from repro.api import EvalRequest, ResultMemo, Session
     from repro.experiments.runner import ExperimentContext
 
     context = ExperimentContext(train_size=400, epochs=3)
-    session = Session(backend="vectorized", cache_dir="/tmp/scores")
+    session = Session(
+        backend="vectorized", result_memo=ResultMemo(cache_dir="/tmp/results")
+    )
     result = session.evaluate(
         EvalRequest(
             model=context.result("tea").model,

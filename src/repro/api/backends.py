@@ -6,7 +6,7 @@ Four backends wrap the repo's evaluation engines behind one
 * ``vectorized`` — :class:`repro.eval.runner.SweepRunner` over
   :class:`repro.eval.engine.VectorizedEvaluator`: the fast functional path
   (folded firing gate, one GEMM per corelet per layer, streamed encoding)
-  with the in-memory and on-disk score caches.
+  with the in-memory score cache.
 * ``reference`` — the kept per-corelet equivalence loop
   (:func:`repro.eval.engine.evaluate_scores_reference`): slow by design,
   never cached, the ground truth the vectorized backend must match bit for
@@ -210,9 +210,6 @@ class VectorizedBackend:
     Args:
         cache: in-memory score cache shared across requests; ``None`` uses
             the process-global cache.
-        cache_dir: optional persistent on-disk score cache directory.
-        cache_max_bytes: optional size bound for ``cache_dir`` (mtime-LRU
-            eviction, see :class:`repro.eval.runner.DiskScoreCache`).
         workers: fan independent per-repeat passes over N processes.
     """
 
@@ -221,19 +218,14 @@ class VectorizedBackend:
     def __init__(
         self,
         cache: Optional[ScoreCache] = None,
-        cache_dir: Optional[str] = None,
-        cache_max_bytes: Optional[int] = None,
         workers: Optional[int] = None,
     ):
         self.cache = cache
-        self.cache_dir = cache_dir
-        self.cache_max_bytes = cache_max_bytes
         self.workers = workers
         #: engine passes actually computed (cache-served requests excluded).
         self.passes = 0
-        #: one long-lived runner per grid config, so the disk cache (and its
-        #: hit/miss/eviction telemetry) persists across requests instead of
-        #: being rebuilt per call.
+        #: one long-lived runner per grid config, so its evaluation-view memo
+        #: persists across requests instead of being rebuilt per call.
         self._runners: Dict[Tuple, SweepRunner] = {}
 
     def capabilities(self) -> BackendCapabilities:
@@ -257,8 +249,6 @@ class VectorizedBackend:
                 spf_levels=request.spf_levels,
                 repeats=request.repeats,
                 cache=self.cache,
-                cache_dir=self.cache_dir,
-                cache_max_bytes=self.cache_max_bytes,
             )
             self._runners[key] = runner
         return runner
@@ -267,16 +257,11 @@ class VectorizedBackend:
         _check_capabilities(request, self.capabilities())
         evaluation = request.evaluation_dataset()
         runner = self._runner(request)
-        cache_hits_before = runner.cache.hits + (
-            runner.disk_cache.hits if runner.disk_cache is not None else 0
-        )
+        cache_hits_before = runner.cache.hits
         tensors = runner.cumulative_scores(
             request.model, evaluation, rng=request.seed, workers=self.workers
         )
-        cache_hits_after = runner.cache.hits + (
-            runner.disk_cache.hits if runner.disk_cache is not None else 0
-        )
-        if cache_hits_after == cache_hits_before:
+        if runner.cache.hits == cache_hits_before:
             self.passes += 1
         network = build_corelets(request.model)
         return _result_from_cumulative(
@@ -855,7 +840,7 @@ def backend_names() -> Tuple[str, ...]:
 def create_backend(name: str, **config) -> object:
     """Instantiate a registered backend by name.
 
-    Keyword arguments are passed to the backend factory (e.g. ``cache_dir``
+    Keyword arguments are passed to the backend factory (e.g. ``cache``
     for the vectorized backend).
     """
     try:

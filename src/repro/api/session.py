@@ -9,10 +9,9 @@ future service front end talk to.  It owns
   A request the selected backend cannot serve raises
   :class:`~repro.api.protocol.UnsupportedRequestError` — never a silent
   fallback to a different backend.
-* **the score caches** — ``cache_dir`` (with optional ``cache_max_bytes``
-  LRU bounding) and the in-memory cache are threaded into the vectorized
-  backend, so a long-running session re-serves repeated configurations
-  from memory or disk instead of re-evaluating.
+* **the in-memory score cache** — threaded into the vectorized backend,
+  so a long-running session re-serves repeated configurations from
+  memory instead of re-evaluating.
 * **request batching** — :meth:`submit` queues requests;
   :meth:`flush` groups queued requests that share one *coalescing key*
   (backend, model fingerprint, dataset fingerprint, seed, repeats,
@@ -29,19 +28,25 @@ with ``seed=None`` ask for fresh entropy and are therefore never coalesced
 (each must be an independent random sample) and never cached.
 
 :class:`ResultMemo` extends the same determinism argument one level up:
-it memoizes whole :class:`EvalResult` objects under the coalescing key.
-Where the score caches only cover backends that declare ``cacheable``
-(the vectorized engine), the memo covers *every* backend — a repeated
-deterministic chip or board request is a memo hit even though the
-cycle-accurate runners never touch a score cache.  The serving layer
+it memoizes whole :class:`EvalResult` objects under the coalescing key,
+for *every* backend — a repeated deterministic chip or board request is a
+memo hit even though the cycle-accurate runners never touch a score
+cache.  With ``cache_dir`` set the memo is the one persistent result
+store: results are written through to disk, so sessions in other
+processes or after a restart (``Session(result_memo=ResultMemo(
+cache_dir=...))``) serve them without an engine pass.  The serving layer
 shares one memo across its worker sessions (and, with process workers,
-consults it in the dispatching parent), which is what lets a
-journal-warmed server answer a repeated burst without recomputation.
+consults it in the dispatching parent), which is what lets a restarted
+server answer a repeated burst without recomputation.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+import tempfile
 import threading
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, cast
@@ -152,18 +157,53 @@ class ResultMemo:
 
     Requests with ``seed=None`` have no coalescing key and therefore can
     never be memoized — fresh entropy stays fresh.
+
+    With ``cache_dir`` set the memo is also the persistent result store of
+    every backend: each stored result is written through to one ``.npz``
+    file named by the SHA-256 of the key's ``repr``, holding the result's
+    fields and the key ``repr`` itself.  A memory miss reads that file
+    (outside the lock) into the memory LRU before the cover check, so a
+    fresh process on the same directory — a restarted replica, or a
+    survivor taking over a dead one's traffic — is warm without running
+    anything.  Files are written to a temporary name and moved into place
+    with ``os.replace``, so concurrent readers (threads or processes) see
+    either nothing or a complete entry.  A torn, unreadable, or
+    key-mismatched file is a miss, files load with pickle disabled, and a
+    failed write (a full disk) is counted, never raised.  With
+    ``max_bytes`` set every write evicts least-recently-used files —
+    oldest mtime first; reads touch the mtime — until the directory is
+    back under the bound; the newest file is never evicted, so one
+    oversized entry degrades the store to a single file instead of
+    thrashing it to zero.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
+    def __init__(
+        self,
+        max_entries: int = 256,
+        cache_dir: Optional[str] = None,
+        max_bytes: Optional[int] = None,
+    ) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
+        if max_bytes is not None and max_bytes <= 0:
+            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+        if max_bytes is not None and cache_dir is None:
+            raise ValueError("max_bytes bounds cache_dir, which is not set")
         self.max_entries = max_entries
+        self.cache_dir = None if cache_dir is None else str(cache_dir)
+        self.max_bytes = max_bytes
+        if self.cache_dir is not None:
+            os.makedirs(self.cache_dir, exist_ok=True)
         self._lock = threading.Lock()
+        self._store_lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, EvalResult]" = (
             OrderedDict()
         )  # guarded-by: _lock
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
+        self.disk_hits = 0  # guarded-by: _lock
+        self.disk_write_errors = 0  # guarded-by: _lock
+        self.evictions = 0  # guarded-by: _lock
 
     @staticmethod
     def _covers(result: EvalResult, request: EvalRequest) -> bool:
@@ -184,23 +224,176 @@ class ResultMemo:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return stored
+            if self.cache_dir is None:
+                self.misses += 1
+                return None
+        loaded = self._read(key)
+        with self._lock:
+            if loaded is not None:
+                self._remember(key, loaded)
+                stored = self._entries[key]
+                if self._covers(stored, request):
+                    self.hits += 1
+                    self.disk_hits += 1
+                    return stored
             self.misses += 1
             return None
 
     def store(self, key: Tuple, result: EvalResult) -> None:
         """Memoize ``result`` under ``key`` (keeping a wider stored one)."""
-        with self._lock:
-            stored = self._entries.get(key)
-            keep_stored = (
-                stored is not None
-                and set(result.copy_levels) <= set(stored.copy_levels)
-                and set(result.spf_levels) <= set(stored.spf_levels)
+        # Stores take turns, so the file a key ends up with is the entry
+        # its last store left in memory, never an older one whose write
+        # happened to finish later.
+        with self._store_lock:
+            with self._lock:
+                replaced = self._remember(key, result)
+            if replaced and self.cache_dir is not None:
+                self._write(key, result)
+
+    def _remember(self, key: Tuple, result: EvalResult) -> bool:
+        """Put ``result`` in the memory LRU unless a wider one is stored.
+
+        The caller holds ``_lock``.  Returns whether ``result`` became the
+        stored entry.
+        """
+        stored = self._entries.get(key)
+        keep_stored = (
+            stored is not None
+            and set(result.copy_levels) <= set(stored.copy_levels)
+            and set(result.spf_levels) <= set(stored.spf_levels)
+        )
+        if not keep_stored:
+            self._entries[key] = result
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+        return not keep_stored
+
+    # ------------------------------------------------------------------
+    # disk tier (only with cache_dir)
+    # ------------------------------------------------------------------
+    def _path(self, key: Tuple) -> str:
+        assert self.cache_dir is not None
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()
+        return os.path.join(self.cache_dir, f"result-{digest}.npz")
+
+    def _read(self, key: Tuple) -> Optional[EvalResult]:
+        path = self._path(key)
+        try:
+            with np.load(path, allow_pickle=False) as entry:
+                if str(entry["key"]) != repr(key):
+                    return None
+                result = EvalResult(
+                    backend=str(entry["backend"]),
+                    copy_levels=tuple(int(c) for c in entry["copy_levels"]),
+                    spf_levels=tuple(int(s) for s in entry["spf_levels"]),
+                    scores=entry["scores"],
+                    accuracy=entry["accuracy"],
+                    labels=entry["labels"],
+                    class_neuron_counts=entry["class_neuron_counts"],
+                    cores=entry["cores"],
+                    seed=int(entry["seed"]),
+                    repeats=int(entry["repeats"]),
+                    spike_counters=(
+                        entry["spike_counters"]
+                        if "spike_counters" in entry.files
+                        else None
+                    ),
+                )
+        except (KeyError, ValueError, OSError, EOFError, zipfile.BadZipFile):
+            # A torn or corrupt entry (e.g. a crash mid-write) is a miss:
+            # the caller recomputes and overwrites it.
+            return None
+        try:
+            # Touch the entry so mtime-LRU eviction treats it as recent.
+            os.utime(path)
+        except OSError:
+            pass
+        return result
+
+    def _write(self, key: Tuple, result: EvalResult) -> None:
+        assert self.cache_dir is not None
+        arrays = {
+            "key": np.asarray(repr(key)),
+            "backend": np.asarray(result.backend),
+            "copy_levels": np.asarray(result.copy_levels, dtype=np.int64),
+            "spf_levels": np.asarray(result.spf_levels, dtype=np.int64),
+            "scores": result.scores,
+            "accuracy": result.accuracy,
+            "labels": result.labels,
+            "class_neuron_counts": result.class_neuron_counts,
+            "cores": result.cores,
+            "seed": np.asarray(result.seed, dtype=np.int64),
+            "repeats": np.asarray(result.repeats, dtype=np.int64),
+        }
+        if result.spike_counters is not None:
+            arrays["spike_counters"] = result.spike_counters
+        tmp_path: Optional[str] = None
+        try:
+            handle, tmp_path = tempfile.mkstemp(
+                dir=self.cache_dir, prefix=".tmp-result-", suffix=".npz"
             )
-            if not keep_stored:
-                self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            with os.fdopen(handle, "wb") as stream:
+                np.savez_compressed(stream, **arrays)
+            os.replace(tmp_path, self._path(key))
+            tmp_path = None
+            if self.max_bytes is not None:
+                self.prune()
+        except OSError:
+            # A full or vanished disk costs persistence, never the request
+            # whose result is being stored.
+            with self._lock:
+                self.disk_write_errors += 1
+        finally:
+            if tmp_path is not None:
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+
+    def prune(self, max_bytes: Optional[int] = None) -> int:
+        """Evict least-recently-used files until the store fits the bound.
+
+        Args:
+            max_bytes: size bound to enforce; defaults to the instance's
+                ``max_bytes`` (a no-op when neither is set).
+
+        Returns:
+            number of bytes freed.  Files are removed oldest-mtime first
+            (reads refresh mtime, so this is LRU); the most recent file is
+            always kept.  Races with concurrent writers/readers are benign:
+            a vanished file is skipped, and an evicted entry is simply a
+            future miss.
+        """
+        limit = self.max_bytes if max_bytes is None else max_bytes
+        if limit is None or self.cache_dir is None:
+            return 0
+        entries: List[Tuple[float, int, str]] = []
+        for name in os.listdir(self.cache_dir):
+            if not (name.startswith("result-") and name.endswith(".npz")):
+                continue
+            path = os.path.join(self.cache_dir, name)
+            try:
+                stat = os.stat(path)
+            except OSError:
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+        entries.sort()  # oldest mtime first
+        total = sum(size for _, size, _ in entries)
+        freed = evicted = 0
+        for _, size, path in entries[:-1]:  # never evict the newest entry
+            if total <= limit:
+                break
+            try:
+                os.unlink(path)
+            except OSError:
+                continue
+            total -= size
+            freed += size
+            evicted += 1
+        with self._lock:
+            self.evictions += evicted
+        return freed
 
     def __len__(self) -> int:
         with self._lock:
@@ -211,13 +404,21 @@ class ResultMemo:
         with self._lock:
             hits, misses = self.hits, self.misses
             entries = len(self._entries)
-        return {
+            disk = {
+                "hits": self.disk_hits,
+                "write_errors": self.disk_write_errors,
+                "evictions": self.evictions,
+            }
+        snapshot: Dict[str, object] = {
             "entries": entries,
             "max_entries": self.max_entries,
             "hits": hits,
             "misses": misses,
             "hit_rate": hits / (hits + misses) if (hits + misses) else None,
         }
+        if self.cache_dir is not None:
+            snapshot["disk"] = disk
+        return snapshot
 
 
 class Session:
@@ -229,9 +430,6 @@ class Session:
             to select by request capability).
         cache: in-memory score cache for the vectorized backend (``None``
             shares the process-global cache).
-        cache_dir: persistent on-disk score cache directory shared across
-            sessions, processes, and restarts.
-        cache_max_bytes: size bound for ``cache_dir`` (mtime-LRU eviction).
         workers: fan independent passes over N processes (vectorized:
             per-repeat passes; chip: per-spf-level passes of
             stochastic-synapse grids, since a deterministic grid is one
@@ -240,17 +438,16 @@ class Session:
         result_memo: result-level memo consulted (and filled) by
             :meth:`flush` for deterministic requests on *every* backend;
             share one :class:`ResultMemo` across sessions to share served
-            results (the serving layer does).  ``None`` disables
-            result memoization (the default — a bare session re-evaluates
-            except where the score caches apply).
+            results (the serving layer does), and give it a ``cache_dir``
+            to persist them across processes and restarts.  ``None``
+            disables result memoization (the default — a bare session
+            re-evaluates except where the score cache applies).
     """
 
     def __init__(
         self,
         backend: str = AUTO,
         cache: Optional[ScoreCache] = None,
-        cache_dir: Optional[str] = None,
-        cache_max_bytes: Optional[int] = None,
         workers: Optional[int] = None,
         result_memo: Optional[ResultMemo] = None,
     ):
@@ -261,8 +458,6 @@ class Session:
             )
         self.default_backend = backend
         self.cache = cache
-        self.cache_dir = cache_dir
-        self.cache_max_bytes = cache_max_bytes
         self.workers = workers
         self.result_memo = result_memo
         self.stats = SessionStats(_session=self)
@@ -285,9 +480,8 @@ class Session:
         caches: Dict[int, object] = {}
         for backend in list(self._backends.values()):
             for runner in list(getattr(backend, "_runners", {}).values()):
-                for cache in (runner.cache, getattr(runner, "disk_cache", None)):
-                    if cache is not None:
-                        caches[id(cache)] = cache
+                if runner.cache is not None:
+                    caches[id(runner.cache)] = runner.cache
         return list(caches.values())
 
     def _cache_counts(self) -> Tuple[int, int]:
@@ -305,11 +499,7 @@ class Session:
         if name not in self._backends:
             if name == "vectorized":
                 self._backends[name] = create_backend(
-                    name,
-                    cache=self.cache,
-                    cache_dir=self.cache_dir,
-                    cache_max_bytes=self.cache_max_bytes,
-                    workers=self.workers,
+                    name, cache=self.cache, workers=self.workers
                 )
             elif name in ("chip", "board"):
                 self._backends[name] = create_backend(name, workers=self.workers)

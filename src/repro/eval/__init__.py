@@ -36,10 +36,11 @@ for cycle-accurate sweeps whose copy budget overflows one chip (copies
 spread over a chip mesh, splitting oversized copies, with inter-chip
 ``link_delay`` folded into the exact latency model — auto-selected when a
 request sets ``link_delay`` or exceeds the chip core budget),
-``reference`` for ground truth, and the session's caches
-(:class:`~repro.eval.runner.ScoreCache` in memory,
-:class:`~repro.eval.runner.DiskScoreCache` on disk) for repeated
-evaluations of the same configuration.
+``reference`` for ground truth, and the session's caches for repeated
+evaluations of the same configuration
+(:class:`~repro.eval.runner.ScoreCache` for vectorized score tensors in
+memory, :class:`repro.api.ResultMemo` for whole results of every backend,
+persisted when given a ``cache_dir``).
 
 The chip backend runs **repeat-folded multi-copy chip images**:
 the requested copies of *all repeats* are programmed side by side
@@ -73,7 +74,6 @@ from repro.eval.engine import (
 )
 from repro.eval.runner import (
     GLOBAL_SCORE_CACHE,
-    DiskScoreCache,
     ScoreCache,
     SweepRunner,
     dataset_fingerprint,
@@ -98,7 +98,6 @@ __all__ = [
     "forward_spikes_reference",
     "SweepRunner",
     "ScoreCache",
-    "DiskScoreCache",
     "GLOBAL_SCORE_CACHE",
     "model_fingerprint",
     "dataset_fingerprint",

@@ -12,20 +12,20 @@ the pieces together on top of :class:`repro.eval.engine.VectorizedEvaluator`:
 * every smaller grid point is derived from cumulative sums of the score
   tensor (the scores of a 16-copy, 4-spf deployment contain those of every
   nested configuration — just sum fewer copies / fewer frames);
-* repeated evaluations of the same (model, grid, seed) are served from a
-  results cache keyed by ``(model fingerprint, copies, spf, seed)``, which
-  the experiment drivers share when they re-sweep the same trained model
-  (e.g. Figure 7 feeding Figure 8, or Figure 9(a) probing several spf levels
-  of the same Table 2 procedure);
-* with ``cache_dir`` set, score tensors additionally persist to disk as
-  ``.npz`` entries (:class:`DiskScoreCache`), written with an atomic rename
-  so concurrent sweep processes can share one cache directory — a serve-style
-  workload restarting its workers re-reads instead of re-evaluating;
+* repeated evaluations of the same (model, grid, seed) are served from an
+  in-memory results cache keyed by ``(model fingerprint, copies, spf,
+  seed)``, which the experiment drivers share when they re-sweep the same
+  trained model (e.g. Figure 7 feeding Figure 8, or Figure 9(a) probing
+  several spf levels of the same Table 2 procedure);
 * with ``workers=N``, :meth:`SweepRunner.run` fans the independent
   per-repeat deployment+evaluation passes over a ``ProcessPoolExecutor``.
   The child generators are spawned in the parent exactly as the serial path
   spawns them, so parallel results are bit-identical to serial ones and land
-  in the same (memory + disk) cache.
+  in the same cache.
+
+Results that must outlive the process — across restarts, or shared by
+several processes — persist in the one result store of every backend,
+:class:`repro.api.ResultMemo` with a ``cache_dir``.
 
 Caching only engages for integer seeds — a caller-supplied generator has
 hidden state, so results evaluated from one are never reused.
@@ -34,11 +34,8 @@ hidden state, so results evaluated from one are never reused.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import threading
 import weakref
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -202,143 +199,6 @@ class ScoreCache:
 GLOBAL_SCORE_CACHE = ScoreCache(max_entries=16)
 
 
-class DiskScoreCache:
-    """Persistent on-disk score cache, safe to share across processes.
-
-    Each entry is one ``.npz`` file holding the per-repeat cumulative score
-    tensors of a fully-keyed evaluation.  The filename is the SHA-256 of the
-    cache key — ``(model fingerprint, max copies, max spf, seed, repeats,
-    dataset fingerprint)``, the same tuple :class:`ScoreCache` uses — so two
-    processes sweeping the same configuration resolve to the same file.
-    Writes go to a temporary file in the cache directory followed by an
-    atomic ``os.replace``: a concurrent reader sees either nothing or a
-    complete entry, never a torn one, and the last concurrent writer of
-    identical content simply wins.
-
-    With ``max_bytes`` set the cache is size-bounded: every write (and any
-    explicit :meth:`prune` call) evicts least-recently-used entries —
-    oldest mtime first; reads touch the mtime so hot entries survive —
-    until the directory's ``scores-*.npz`` total is back under the bound.
-    The newest entry is never evicted, so one oversized tensor degrades the
-    cache to a single entry instead of thrashing it to zero.
-    """
-
-    def __init__(self, cache_dir: str, max_bytes: Optional[int] = None):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.cache_dir = str(cache_dir)
-        self.max_bytes = max_bytes
-        os.makedirs(self.cache_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def _path(self, key: Tuple) -> str:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        return os.path.join(self.cache_dir, f"scores-{digest}.npz")
-
-    def contains(self, key: Tuple) -> bool:
-        """Whether an entry for ``key`` is on disk (no content validation)."""
-        return os.path.exists(self._path(key))
-
-    def get(self, key: Tuple) -> Optional[List[np.ndarray]]:
-        path = self._path(key)
-        try:
-            with np.load(path) as entry:
-                count = int(entry["repeat_count"])
-                tensors = [entry[f"repeat_{i}"] for i in range(count)]
-        except (
-            FileNotFoundError,
-            KeyError,
-            ValueError,
-            OSError,
-            EOFError,
-            zipfile.BadZipFile,
-        ):
-            # A torn or corrupt entry (e.g. a crash between write and
-            # fsync) is a miss: the caller recomputes and overwrites it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            # Touch the entry so mtime-LRU eviction treats it as recent.
-            os.utime(path)
-        except OSError:
-            pass
-        return tensors
-
-    def put(self, key: Tuple, value: List[np.ndarray]) -> None:
-        path = self._path(key)
-        arrays = {f"repeat_{i}": tensor for i, tensor in enumerate(value)}
-        arrays["repeat_count"] = np.asarray(len(value))
-        handle, tmp_path = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=".tmp-scores-", suffix=".npz"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                np.savez_compressed(stream, **arrays)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        if self.max_bytes is not None:
-            self.prune()
-
-    def prune(self, max_bytes: Optional[int] = None) -> int:
-        """Evict least-recently-used entries until the cache fits the bound.
-
-        Args:
-            max_bytes: size bound to enforce; defaults to the instance's
-                ``max_bytes`` (a no-op when neither is set).
-
-        Returns:
-            number of bytes freed.  Entries are removed oldest-mtime first
-            (reads refresh mtime, so this is LRU); the most recent entry is
-            always kept.  Races with concurrent writers/readers are benign:
-            a vanished file is skipped, and an evicted entry is simply a
-            future cache miss.
-        """
-        limit = self.max_bytes if max_bytes is None else max_bytes
-        if limit is None:
-            return 0
-        entries = []
-        for name in os.listdir(self.cache_dir):
-            if not (name.startswith("scores-") and name.endswith(".npz")):
-                continue
-            path = os.path.join(self.cache_dir, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()  # oldest mtime first
-        total = sum(size for _, size, _ in entries)
-        freed = 0
-        for _, size, path in entries[:-1]:  # never evict the newest entry
-            if total <= limit:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            freed += size
-            self.evictions += 1
-        return freed
-
-    def __len__(self) -> int:
-        return len(
-            [
-                name
-                for name in os.listdir(self.cache_dir)
-                if name.startswith("scores-") and name.endswith(".npz")
-            ]
-        )
-
-
 def parallel_map(
     fn: Callable[..., object],
     argument_tuples: Sequence[Tuple],
@@ -412,12 +272,6 @@ class SweepRunner:
             automatic).
         cache: results cache; ``None`` uses the module-level
             :data:`GLOBAL_SCORE_CACHE`.
-        cache_dir: optional directory for a persistent
-            :class:`DiskScoreCache` shared across processes and runs;
-            ``None`` (default) keeps caching in-memory only.
-        cache_max_bytes: optional size bound for ``cache_dir``; writes
-            evict least-recently-used entries past it so long-lived cache
-            directories stop growing unboundedly.
     """
 
     copy_levels: Sequence[int] = (1, 2, 4, 8, 16)
@@ -426,8 +280,6 @@ class SweepRunner:
     max_samples: Optional[int] = None
     chunk_frames: Optional[int] = None
     cache: Optional[ScoreCache] = None
-    cache_dir: Optional[str] = None
-    cache_max_bytes: Optional[int] = None
 
     def __post_init__(self):
         self.copy_levels = tuple(sorted(set(int(c) for c in self.copy_levels)))
@@ -440,11 +292,6 @@ class SweepRunner:
             raise ValueError(f"repeats must be positive, got {self.repeats}")
         if self.cache is None:
             self.cache = GLOBAL_SCORE_CACHE
-        self.disk_cache: Optional[DiskScoreCache] = (
-            DiskScoreCache(self.cache_dir, max_bytes=self.cache_max_bytes)
-            if self.cache_dir is not None
-            else None
-        )
         self._take_memo: Optional[Tuple["weakref.ref", int, Dataset]] = None
 
     def _evaluation_view(self, dataset: Dataset) -> Dataset:
@@ -485,9 +332,8 @@ class SweepRunner:
         Each returned array has shape ``(max_copies, max_spf, batch,
         num_classes)`` and holds ``cumsum`` over the copy and frame axes, so
         ``tensor[c - 1, s - 1]`` is the accumulated score of a (c, s)
-        deployment.  Served from the in-memory cache — and, when
-        ``cache_dir`` is set, from the persistent disk cache — when the same
-        (model, grid, seed) was evaluated before.
+        deployment.  Served from the in-memory cache when the same (model,
+        grid, seed) was evaluated before.
 
         With ``workers=N`` the independent per-repeat passes (each one full
         deployment + evaluation; every (copies, spf) grid cell is a nested
@@ -515,18 +361,7 @@ class SweepRunner:
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
-                # Backfill the disk cache: the memory entry may predate this
-                # runner's cache_dir (e.g. the shared GLOBAL_SCORE_CACHE was
-                # populated by a runner without one), and persistence is the
-                # whole point of configuring a cache directory.
-                if self.disk_cache is not None and not self.disk_cache.contains(key):
-                    self.disk_cache.put(key, list(cached))
                 return cached
-            if self.disk_cache is not None:
-                persisted = self.disk_cache.get(key)
-                if persisted is not None:
-                    self.cache.put(key, persisted)
-                    return persisted
         network = corelet_network or build_corelets(model)
         repeat_rngs = spawn_rngs(new_rng(rng), self.repeats)
         tensors = parallel_map(
@@ -546,8 +381,6 @@ class SweepRunner:
             workers,
         )
         if key is not None:
-            if self.disk_cache is not None:
-                self.disk_cache.put(key, tensors)
             self.cache.put(key, tensors)
         return tensors
 

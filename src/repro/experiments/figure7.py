@@ -11,9 +11,9 @@ All scoring goes through :class:`repro.api.Session`: the two sweeps are
 *submitted* and flushed together so requests sharing a model fingerprint
 coalesce onto one engine pass, and the backend is a one-line config —
 ``backend="vectorized"`` (default), ``"reference"``, or a pre-configured
-session with a persistent ``cache_dir``.  Figure 8 (which differences the
-two surfaces) and repeated invocations reuse the session's score caches
-instead of re-deploying anything.
+session whose ``ResultMemo`` persists results under a ``cache_dir``.
+Figure 8 (which differences the two surfaces) and repeated invocations
+reuse the session's caches instead of re-deploying anything.
 """
 
 from __future__ import annotations

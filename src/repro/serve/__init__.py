@@ -12,8 +12,9 @@ front of the :mod:`repro.api` serving facade.
   shedding, ``/healthz`` + ``/metrics`` introspection.  Opt-in upgrades:
   adaptive admission toward a p95 target
   (:mod:`repro.serve.controller`), process workers around the GIL
-  (``worker_mode="process"``), and a durable request journal with
-  boot-time cache warming (:mod:`repro.serve.journal`).
+  (``worker_mode="process"``), and a ``cache_dir`` that persists every
+  served result, so a restarted replica is warm without replaying
+  anything.
 * :class:`FrontServer` / :class:`FrontService` / :class:`FrontConfig` —
   the fleet router (:mod:`repro.serve.front`): consistent model→replica
   routing over a rendezvous ring (:mod:`repro.serve.ring`), fleet-wide
@@ -73,7 +74,6 @@ from repro.serve.front import (
     FrontServer,
     FrontService,
 )
-from repro.serve.journal import RequestJournal, request_fingerprint
 from repro.serve.ring import EmptyRingError, ReplicaRing
 from repro.serve.server import (
     EvalServer,
@@ -98,7 +98,6 @@ __all__ = [
     "ModelRegistry",
     "QueueFullError",
     "ReplicaRing",
-    "RequestJournal",
     "RequestRejectedError",
     "ServeClient",
     "ServeConfig",
@@ -113,6 +112,5 @@ __all__ = [
     "decode_result",
     "encode_request",
     "encode_result",
-    "request_fingerprint",
     "wire_payload",
 ]

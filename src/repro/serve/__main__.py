@@ -68,15 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     service.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help=(
-            "append-only request journal; a restarted server replays it "
-            "to warm the caches"
-        ),
-    )
-    service.add_argument(
         "--batch-max",
         type=int,
         default=8,
@@ -89,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds before a waiting HTTP request answers 504",
     )
     service.add_argument(
-        "--cache-dir", default=None, help="persistent score-cache directory"
+        "--cache-dir",
+        default=None,
+        help="persistent result-store directory shared across restarts",
     )
     service.add_argument(
         "--cache-max-bytes",
@@ -193,6 +186,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not methods:
         print("no methods to host (--methods is empty)", file=sys.stderr)
         return 2
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            backend=args.backend,
+            workers=args.workers,
+            worker_mode=args.worker_mode,
+            queue_depth=args.queue_depth,
+            target_p95=args.target_p95,
+            batch_max=args.batch_max,
+            request_timeout=args.request_timeout,
+            cache_dir=args.cache_dir,
+            cache_max_bytes=args.cache_max_bytes,
+        )
+    except ValueError as error:
+        print(f"invalid configuration: {error}", file=sys.stderr)
+        return 2
     context = ExperimentContext(
         testbench=args.testbench,
         train_size=args.train_size,
@@ -208,20 +218,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     registry = ModelRegistry.from_context(context, methods=methods)
     print(f"models ready in {time.perf_counter() - start:.1f}s")
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        backend=args.backend,
-        workers=args.workers,
-        worker_mode=args.worker_mode,
-        queue_depth=args.queue_depth,
-        target_p95=args.target_p95,
-        batch_max=args.batch_max,
-        request_timeout=args.request_timeout,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        journal_path=args.journal,
-    )
     server = EvalServer(registry, config).start()
     print(
         f"serving on {server.url}  "

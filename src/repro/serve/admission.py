@@ -28,10 +28,10 @@ Clock discipline: :class:`Job` carries **two** timestamps on purpose.
 ever touches — the monotonic clock never jumps, so queue-residence and
 service latencies are exact even across a wall-clock step (NTP, DST).
 ``created_wall`` is ``time.time()`` and exists *only* for externally
-meaningful records (the request journal's ``recorded_at``); it must never
-be differenced against ``created`` or against any monotonic reading — the
-two clocks share no epoch, and mixing them silently produces latencies
-that are off by the machine's uptime.  A unit test pins both properties.
+meaningful records (a log line that must outlive the process); it must
+never be differenced against ``created`` or against any monotonic
+reading — the two clocks share no epoch, and mixing them silently produces
+latencies that are off by the machine's uptime.  A unit test pins both properties.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ class Job:
         created: admission time on the **monotonic** clock — the only
             timestamp latency math may use (see the module docstring).
         created_wall: admission time on the wall clock, for externally
-            meaningful records only (the request journal); never mixed
-            with ``created`` or any other monotonic reading.
+            meaningful records only; never mixed with ``created`` or any
+            other monotonic reading.
         wire: the normalized wire payload the request arrived as, when it
-            arrived over the wire — what the journal records and what the
-            process worker pool ships to a worker (names, not objects).
+            arrived over the wire — what the process worker pool ships to
+            a worker (names, not objects).
     """
 
     request: EvalRequest

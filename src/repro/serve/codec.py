@@ -136,8 +136,8 @@ def wire_payload(wire: WireRequest) -> Dict[str, object]:
 
     Every field is spelled out (defaults included) with deterministic
     types, so two client payloads that decode to the same wire request
-    produce the same normalized dict — the property the request journal's
-    fingerprinting and the process worker pool's batch shipping rely on.
+    produce the same normalized dict — the form the process worker pool
+    ships to its children.
     ``decode_request(wire_payload(w)) == w`` for every ``WireRequest``.
     """
     return {

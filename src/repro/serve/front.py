@@ -14,14 +14,12 @@ fingerprint* (a content hash of the hosted model's ``/v1/models`` entry,
 discovered by polling the replicas; the bare model name is the routing key
 until discovery) through a rendezvous ring
 (:class:`~repro.serve.ring.ReplicaRing`), so one replica is the stable
-home of each model's traffic.  That stability is what makes the routing
-*journal-aware*: the replica that admits a request journals it, so pinning
-a model's requests to one home concentrates exactly that model's history
-in that replica's journal — after a kill-and-restart, the boot-time warm
-replay rebuilds the takeover replica's memo from its own journal and
-repeated requests cost zero fresh engine passes.  The ring's descending
-preference order doubles as the failover path, so even spilled traffic
-lands deterministically (and therefore journals deterministically).
+home of each model's traffic, whose in-memory memo then holds exactly
+that model's results.  The ring's descending preference order doubles as
+the failover path, so even spilled traffic lands deterministically.
+Replicas sharing one ``cache_dir`` share every result on disk, so after a
+kill-and-restart the takeover replica and the restarted home answer
+repeated requests with zero fresh engine passes.
 
 **Fleet admission.**  The front owns its *own* shed decision, computed
 from the replicas' exported drain snapshots (polled ``/metrics``

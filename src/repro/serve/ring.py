@@ -7,8 +7,8 @@ granted and a naive ``hash(key) % N`` violates:
 
 * **stability** — ejecting (or rejoining) one replica moves *only* the
   keys that were (or become) assigned to that replica; every other
-  model keeps its replica, so its request journal, result memo, and score
-  cache stay warm where its traffic already landed.
+  model keeps its replica, so its in-memory result memo and score cache
+  stay warm where its traffic already landed.
 * **determinism** — two front processes configured with the same replica
   set route every key identically (no shared state, no coordination).
 
@@ -20,7 +20,7 @@ adding one back restores exactly its old assignments.  The full
 descending-score order doubles as the **failover preference list**: when a
 key's primary replica is saturated or dead, the next replica in its
 preference order takes the spill, which is the same replica every time —
-so even spilled traffic stays journal-warm somewhere deterministic.
+so even spilled traffic stays memo-warm somewhere deterministic.
 """
 
 from __future__ import annotations

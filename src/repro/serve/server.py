@@ -11,8 +11,9 @@ Three layers, separable for testing:
   pool, each worker draining *batches* of admitted jobs through its own
   :class:`repro.api.Session` (``submit`` + one ``flush`` per batch), so
   same-fingerprint requests coalesce onto shared engine passes exactly as
-  they do in-process.  All workers share one score cache, so a repeated
-  configuration is a cache hit regardless of which worker serves it.
+  they do in-process.  All workers share one score cache and one
+  :class:`~repro.api.ResultMemo`, so a repeated configuration is a hit
+  regardless of which worker serves it.
   Responses are **bit-identical** to a direct ``Session.evaluate`` of the
   same request — the service adds queuing, never arithmetic.
 * :class:`EvalServer` — the stdlib HTTP binding
@@ -31,12 +32,15 @@ Two durability/throughput upgrades sit behind :class:`ServeConfig` flags:
   exact, so bit-identity survives the process hop).  The parent keeps a
   shared :class:`~repro.api.ResultMemo` and answers repeated deterministic
   requests directly from it, without touching a worker.
-* ``journal_path`` enables the append-only request journal
-  (:mod:`repro.serve.journal`): every admitted deterministic request is
-  fingerprinted to disk, and a restarted service replays the journal at
-  boot through a warm session — filling the result memo (every backend)
-  and the score caches (vectorized) so a repeated burst after a restart is
-  served from cache, not recomputed.
+  A child that dies breaks the executor; the first dispatcher to see it
+  broken replaces it (counted as ``worker_restarts`` in ``/metrics``) and
+  re-runs the batch once — deterministic requests are safe to repeat.
+* ``cache_dir`` gives the shared memo its disk tier: every served
+  deterministic result, on every backend, is written through to one file
+  under it.  A service restarted on the same directory — or a survivor
+  taking over a dead replica's traffic — answers a repeated burst from
+  disk without running an engine pass, and boots without replaying
+  anything.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import os
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,7 +73,6 @@ from repro.serve.codec import (
 )
 from repro.serve.controller import ControllerConfig
 from repro.serve.handlers import ServeHandler
-from repro.serve.journal import RequestJournal
 
 #: Worker-pool implementations a service may run.
 WORKER_MODES = ("thread", "process")
@@ -100,10 +104,9 @@ class ServeConfig:
             window.
         request_timeout: seconds an HTTP handler waits for its job before
             answering 504 (the job itself is not cancelled).
-        cache_dir / cache_max_bytes: persistent score cache, as in
-            :class:`repro.api.Session`.
-        journal_path: append-only request-journal file; ``None`` disables
-            journaling (and boot-time warm replay).
+        cache_dir / cache_max_bytes: disk tier of the shared result memo
+            and its size bound (see :class:`repro.api.ResultMemo`); the
+            bound needs a ``cache_dir``.
         memo_entries: capacity of the shared result memo.
     """
 
@@ -119,7 +122,6 @@ class ServeConfig:
     request_timeout: float = 300.0
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    journal_path: Optional[str] = None
     memo_entries: int = 256
 
     def __post_init__(self) -> None:
@@ -144,6 +146,16 @@ class ServeConfig:
             raise ValueError(
                 f"memo_entries must be positive, got {self.memo_entries}"
             )
+        if self.cache_max_bytes is not None:
+            if self.cache_dir is None:
+                raise ValueError(
+                    "cache_max_bytes bounds cache_dir, which is not set"
+                )
+            if self.cache_max_bytes <= 0:
+                raise ValueError(
+                    "cache_max_bytes must be positive, got "
+                    f"{self.cache_max_bytes}"
+                )
 
     def resolved_controller_config(self) -> Optional[ControllerConfig]:
         """The controller tunables this config asks for (``None`` = static)."""
@@ -248,26 +260,16 @@ _WORKER_SESSION: Optional[Session] = None
 _WORKER_REGISTRY: Optional[ModelRegistry] = None
 
 
-def _process_worker_init(
-    registry: ModelRegistry,
-    backend: str,
-    cache_dir: Optional[str],
-    cache_max_bytes: Optional[int],
-) -> None:
+def _process_worker_init(registry: ModelRegistry, backend: str) -> None:
     """Build one worker child's session from a pickled registry copy.
 
-    Each child owns its session (and in-memory caches); the on-disk score
-    cache under ``cache_dir`` is the cross-process shared tier — its file
-    writes are atomic, so children and restarts share it safely.
+    Each child owns its session and in-memory caches.  The persistent
+    result store stays in the parent, which answers from it before it
+    ships a batch and writes every child result through.
     """
     global _WORKER_SESSION, _WORKER_REGISTRY
     _WORKER_REGISTRY = registry
-    _WORKER_SESSION = Session(
-        backend=backend,
-        cache_dir=cache_dir,
-        cache_max_bytes=cache_max_bytes,
-        result_memo=ResultMemo(),
-    )
+    _WORKER_SESSION = Session(backend=backend, result_memo=ResultMemo())
 
 
 def _picklable_error(error: BaseException) -> BaseException:
@@ -344,20 +346,20 @@ class EvalService:
         #: not depend on which worker a request lands on.
         self._score_cache = ScoreCache()
         #: one result memo shared by the local sessions (thread workers and
-        #: the warm/dispatch session) — the all-backend repeated-request tier.
-        self.result_memo = ResultMemo(max_entries=self.config.memo_entries)
-        self.journal = (
-            RequestJournal(self.config.journal_path)
-            if self.config.journal_path is not None
-            else None
+        #: the dispatch session) — the all-backend result store, persistent
+        #: when the config names a cache_dir.
+        self.result_memo = ResultMemo(
+            max_entries=self.config.memo_entries,
+            cache_dir=self.config.cache_dir,
+            max_bytes=self.config.cache_max_bytes,
         )
         self._sessions: List[Session] = []
         self._threads: List[threading.Thread] = []
-        self._executor: Optional[ProcessPoolExecutor] = None
-        #: warm-replay + process-mode dispatch session (set by start()).
+        self._pool_lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None  # guarded-by: _pool_lock
+        self._worker_restarts = 0  # guarded-by: _pool_lock
+        #: process-mode dispatch session (set by start()).
         self._local_session: Optional[Session] = None
-        self._journal_warmed = 0
-        self._journal_compacted = 0
         self._worker_stats: Dict[int, Dict[str, object]] = {}  # guarded-by: _stats_lock
         self._stats_lock = threading.Lock()
         self._http_counts: Dict[str, int] = {}  # guarded-by: _http_lock
@@ -368,30 +370,16 @@ class EvalService:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "EvalService":
-        """Warm from the journal, then start the worker pool (idempotent)."""
+        """Start the worker pool (idempotent)."""
         if self._started:
             return self
         self._started = True
-        self._local_session = self._make_session()
-        self._sessions.append(self._local_session)
-        self._journal_warmed = self._warm_from_journal()
-        if self.journal is not None:
-            # Boot is the one moment the whole journal was just read and no
-            # appender is active yet: rewrite it down to unique fingerprints
-            # so the file tracks distinct requests, not total traffic.
-            self._journal_compacted = self.journal.compact()
-        if self.config.worker_mode == "process" and self.config.workers > 0:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_process_worker_init,
-                initargs=(
-                    self.registry,
-                    self.config.backend,
-                    self.config.cache_dir,
-                    self.config.cache_max_bytes,
-                ),
-            )
+        if self.config.worker_mode == "process":
+            self._local_session = self._make_session()
+            self._sessions.append(self._local_session)
+            if self.config.workers > 0:
+                with self._pool_lock:
+                    self._executor = self._new_executor()
         for index in range(self.config.workers):
             if self.config.worker_mode == "process":
                 thread = threading.Thread(
@@ -416,44 +404,16 @@ class EvalService:
         return Session(
             backend=self.config.backend,
             cache=self._score_cache,
-            cache_dir=self.config.cache_dir,
-            cache_max_bytes=self.config.cache_max_bytes,
             result_memo=self.result_memo,
         )
 
-    def _warm_from_journal(self) -> int:
-        """Replay journaled requests through the local session at boot.
-
-        Fills the shared result memo (every backend) and the score caches
-        (vectorized) so a restarted server answers a repeated burst from
-        cache.  Best-effort by design: a record naming a model this boot
-        does not host, or failing evaluation, is skipped — warming must
-        never keep a server from starting.
-        """
-        if self.journal is None:
-            return 0
-        session = self._local_session
-        assert session is not None
-        handles = []
-        for payload in self.journal.replay():
-            try:
-                wire = decode_request(payload)
-                request = to_eval_request(wire, self.registry)
-                handles.append(session.submit(request, backend=wire.backend))
-            except Exception:
-                continue
-        try:
-            session.flush()
-        except Exception:
-            pass
-        warmed = 0
-        for handle in handles:
-            try:
-                handle.result()
-                warmed += 1
-            except Exception:
-                continue
-        return warmed
+    def _new_executor(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.config.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_process_worker_init,
+            initargs=(self.registry, self.config.backend),
+        )
 
     def close(self) -> None:
         """Stop admitting, fail still-queued jobs, join the workers."""
@@ -463,11 +423,10 @@ class EvalService:
         for thread in self._threads:
             thread.join(timeout=30.0)
         self._threads = []
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self.journal is not None:
-            self.journal.close()
+        with self._pool_lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # request path
@@ -483,16 +442,9 @@ class EvalService:
         wire = decode_request(payload)
         request = to_eval_request(wire, self.registry)
         normalized = wire_payload(wire)
-        job = self.admission.submit(
+        return self.admission.submit(
             Job(request=request, backend=wire.backend, wire=normalized)
         )
-        # Journal *admitted* deterministic requests only: shed arrivals are
-        # not service state, and seed=None requests are fresh entropy that
-        # no cache may ever serve, so replaying them would only burn boot
-        # time recomputing results nobody can be answered with.
-        if self.journal is not None and wire.seed is not None:
-            self.journal.record(normalized)
-        return job
 
     def evaluate_request(self, request: EvalRequest, backend: Optional[str] = None):
         """Admit an in-process :class:`EvalRequest` and wait for its result.
@@ -551,8 +503,7 @@ class EvalService:
         """
         admission = self.admission
         session = self._local_session
-        executor = self._executor
-        assert session is not None and executor is not None
+        assert session is not None
         while True:
             batch = admission.next_batch(self.config.batch_max, timeout=0.2)
             if not batch:
@@ -581,9 +532,7 @@ class EvalService:
                 for job in remaining
             ]
             try:
-                outcomes, pid, stats = executor.submit(
-                    _process_worker_run, items
-                ).result()
+                outcomes, pid, stats = self._run_in_pool(items)
             except Exception as error:
                 for job in remaining:
                     job.fail(error)
@@ -610,6 +559,35 @@ class EvalService:
                         else RuntimeError(str(error))
                     )
                     admission.job_done(job, ok=False)
+
+    def _run_in_pool(
+        self, items: List[Tuple[object, ...]]
+    ) -> Tuple[List[Tuple[str, object]], int, Dict[str, object]]:
+        """Serve one batch on the process pool, replacing a broken pool once.
+
+        A dead child breaks the whole executor: every later submit raises
+        ``BrokenProcessPool``.  The first dispatcher to see this executor
+        broken replaces it, the others pick up the replacement, and the
+        batch runs once more on it.
+        """
+        executor = self._current_executor()
+        try:
+            return executor.submit(_process_worker_run, items).result()
+        except BrokenProcessPool:
+            with self._pool_lock:
+                if self._executor is executor:
+                    self._executor = self._new_executor()
+                    self._worker_restarts += 1
+            executor.shutdown(wait=False)
+            retry = self._current_executor()
+            return retry.submit(_process_worker_run, items).result()
+
+    def _current_executor(self) -> ProcessPoolExecutor:
+        with self._pool_lock:
+            executor = self._executor
+        if executor is None:
+            raise ServiceClosedError("service shut down before the job ran")
+        return executor
 
     # ------------------------------------------------------------------
     # introspection endpoints
@@ -666,11 +644,8 @@ class EvalService:
             misses += int(snapshot.get("cache_misses", 0))
         with self._http_lock:
             http_counts = dict(sorted(self._http_counts.items()))
-        journal_view: Optional[Dict[str, object]] = None
-        if self.journal is not None:
-            journal_view = self.journal.snapshot()
-            journal_view["warmed_at_boot"] = self._journal_warmed
-            journal_view["compacted_at_boot"] = self._journal_compacted
+        with self._pool_lock:
+            worker_restarts = self._worker_restarts
         return {
             "requests": self.admission.snapshot(),
             "controller": self.admission.controller.snapshot(),
@@ -682,8 +657,8 @@ class EvalService:
                 "hit_rate": hits / (hits + misses) if (hits + misses) else None,
             },
             "memo": self.result_memo.snapshot(),
-            "journal": journal_view,
             "worker_mode": self.config.worker_mode,
+            "worker_restarts": worker_restarts,
             "http": http_counts,
         }
 

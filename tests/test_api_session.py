@@ -234,32 +234,36 @@ def test_engine_passes_exclude_cache_hits(trained):
 # cache ownership
 # ----------------------------------------------------------------------
 def test_session_threads_disk_cache_into_vectorized_backend(trained, tmp_path):
-    session = _session(backend="vectorized", cache_dir=str(tmp_path))
-    session.evaluate(_request(trained))
-    backend = session.backend("vectorized")
-    assert backend.cache_dir == str(tmp_path)
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("scores-")]
+    session = _session(
+        backend="vectorized", result_memo=ResultMemo(cache_dir=str(tmp_path))
+    )
+    first = session.evaluate(_request(trained))
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith("result-")]
     assert len(entries) == 1
 
-    # A second session over the same directory is served from disk: the
-    # score tensors round-trip bit for bit.
-    warm = _session(backend="vectorized", cache_dir=str(tmp_path))
-    first = session.evaluate(_request(trained))
+    # A second session over the same directory is served from disk without
+    # an engine pass: the result round-trips bit for bit.
+    warm = _session(
+        backend="vectorized", result_memo=ResultMemo(cache_dir=str(tmp_path))
+    )
     second = warm.evaluate(_request(trained))
+    assert warm.stats.engine_passes == 0
+    assert warm.result_memo.disk_hits == 1
     assert np.array_equal(first.scores, second.scores)
+    assert np.array_equal(first.accuracy, second.accuracy)
 
 
 def test_session_cache_max_bytes_reaches_runner(trained, tmp_path):
-    session = _session(
-        backend="vectorized", cache_dir=str(tmp_path), cache_max_bytes=1
-    )
+    memo = ResultMemo(cache_dir=str(tmp_path), max_bytes=1)
+    session = _session(backend="vectorized", result_memo=memo)
     session.evaluate(_request(trained))
     # The bound is enforced on write; only the newest entry survives.
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("scores-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith("result-")]
     assert len(entries) == 1
     session.evaluate(_request(trained, seed=123))
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("scores-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith("result-")]
     assert len(entries) == 1
+    assert memo.evictions == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Persistent disk cache and multi-process sweeps of :class:`SweepRunner`.
+"""The persistent result store and multi-process sweeps.
 
-Covers the serve-style workload gaps: score tensors persist across processes
-through an on-disk ``.npz`` cache (atomic-rename writes), and the per-repeat
-evaluation passes can fan out over a ``ProcessPoolExecutor`` without changing
-a single bit of the results.
+Covers the serve-style workload gaps: results persist across sessions and
+processes through the disk tier of :class:`repro.api.ResultMemo` (one
+``.npz`` file per coalescing key, atomic-rename writes, mtime-LRU
+bounding), and the per-repeat evaluation passes of :class:`SweepRunner`
+can fan out over a ``ProcessPoolExecutor`` without changing a single bit
+of the results.
 """
 
 from __future__ import annotations
@@ -11,11 +13,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.eval.runner import DiskScoreCache, ScoreCache, SweepRunner
+from repro.api import EvalRequest, EvalResult, ResultMemo, Session
+from repro.eval.runner import ScoreCache, SweepRunner
 
 
 @pytest.fixture(scope="module")
@@ -25,164 +30,235 @@ def trained(tiny_context):
     return model, dataset
 
 
-def _runner(cache_dir=None):
-    # A fresh in-memory cache per runner isolates what the disk layer serves.
+def _runner():
+    # A fresh in-memory cache per runner isolates each test.
     return SweepRunner(
         copy_levels=(1, 2),
         spf_levels=(1, 2),
         repeats=2,
         cache=ScoreCache(),
-        cache_dir=cache_dir,
     )
 
 
+def _key(seed):
+    return ("chip", "model-fp", "dataset-fp", None, seed, 1, "stochastic", 2, 2)
+
+
+#: A lookup asking for every level the synthetic results hold.
+LEVELS = EvalRequest(model=None, dataset=None, copy_levels=(1, 2), spf_levels=(1, 2))
+
+
+def _result(seed=0, spike_counters=False, batch=8):
+    rng = np.random.default_rng(seed)
+    return EvalResult(
+        backend="chip",
+        copy_levels=(1, 2),
+        spf_levels=(1, 2),
+        scores=rng.random((1, 2, 2, batch, 4)),
+        accuracy=rng.random((1, 2, 2)),
+        labels=rng.integers(0, 4, size=batch),
+        class_neuron_counts=np.array([3, 3, 2, 2]),
+        cores=np.array([4, 8]),
+        seed=seed,
+        repeats=1,
+        spike_counters=(
+            rng.integers(0, 9, size=(1, 2, 4, batch)) if spike_counters else None
+        ),
+    )
+
+
+def _request(trained, **kwargs):
+    model, dataset = trained
+    return EvalRequest(model=model, dataset=dataset, **kwargs)
+
+
+def _files(directory):
+    return sorted(
+        name
+        for name in os.listdir(directory)
+        if name.startswith("result-") and name.endswith(".npz")
+    )
+
+
+def _fill(memo, count, batch=64):
+    for index in range(count):
+        memo.store(_key(index), _result(index, batch=batch))
+    return [memo._path(_key(index)) for index in range(count)]
+
+
 def test_disk_cache_round_trip(tmp_path):
-    cache = DiskScoreCache(str(tmp_path))
-    key = ("fingerprint", 4, 2, 0, 3, "dataset")
-    tensors = [np.arange(24.0).reshape(4, 2, 3, 1), np.ones((4, 2, 3, 1))]
-    assert cache.get(key) is None
-    cache.put(key, tensors)
-    loaded = cache.get(key)
-    assert loaded is not None
-    for original, restored in zip(tensors, loaded):
-        assert np.array_equal(original, restored)
-    assert cache.hits == 1 and cache.misses == 1
-    assert len(cache) == 1
+    writer = ResultMemo(cache_dir=str(tmp_path))
+    reader = ResultMemo(cache_dir=str(tmp_path))
+    for seed, spike_counters in ((0, False), (1, True)):
+        key, stored = _key(seed), _result(seed, spike_counters=spike_counters)
+        assert writer.lookup(key, LEVELS) is None
+        writer.store(key, stored)
+        # The reader's memory tier is empty, so this hit comes off disk.
+        loaded = reader.lookup(key, LEVELS)
+        assert loaded is not None
+        for name in ("backend", "copy_levels", "spf_levels", "seed", "repeats"):
+            assert getattr(loaded, name) == getattr(stored, name)
+        arrays = ["scores", "accuracy", "labels", "class_neuron_counts", "cores"]
+        if spike_counters:
+            arrays.append("spike_counters")
+        else:
+            assert loaded.spike_counters is None
+        for name in arrays:
+            original, restored = getattr(stored, name), getattr(loaded, name)
+            assert restored.dtype == original.dtype
+            assert np.array_equal(restored, original)
+        # A second lookup is a memory hit.
+        assert reader.lookup(key, LEVELS) is loaded
+    assert reader.hits == 4 and reader.disk_hits == 2 and reader.misses == 0
+    assert len(_files(tmp_path)) == 2
     # No temporary files left behind by the atomic write.
     assert all(not name.startswith(".tmp-") for name in os.listdir(tmp_path))
 
 
 def test_disk_cache_treats_corrupt_entry_as_miss(tmp_path):
-    cache = DiskScoreCache(str(tmp_path))
-    key = ("fingerprint", 2, 2, 0, 1, "dataset")
-    cache.put(key, [np.ones((2, 2, 1, 1))])
-    path = cache._path(key)
+    key = _key(0)
+    (path,) = _fill(ResultMemo(cache_dir=str(tmp_path)), 1)
     with open(path, "wb") as handle:
         handle.write(b"torn write, not a zip file")
-    assert cache.get(key) is None
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    assert memo.lookup(key, LEVELS) is None and memo.misses == 1
     # Recomputing overwrites the corrupt entry and serving works again.
-    cache.put(key, [np.ones((2, 2, 1, 1))])
-    assert cache.get(key) is not None
+    memo.store(key, _result(0))
+    assert ResultMemo(cache_dir=str(tmp_path)).lookup(key, LEVELS) is not None
 
 
-def _fill_cache(cache, count, repeats=1, shape=(2, 2, 8, 4)):
-    for index in range(count):
-        cache.put(
-            ("fp", 2, 2, index, repeats, "ds"),
-            [np.full(shape, float(index)) for _ in range(repeats)],
-        )
+def test_disk_cache_entry_with_mismatched_key_is_a_miss(tmp_path):
+    """A file whose stored key differs from the lookup key never serves."""
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    memo.store(_key(1), _result(1))
+    # Plant key 1's entry under key 0's file name (a hash collision, or a
+    # file copied into place by hand).
+    os.replace(memo._path(_key(1)), memo._path(_key(0)))
+    fresh = ResultMemo(cache_dir=str(tmp_path))
+    assert fresh.lookup(_key(0), LEVELS) is None
+    assert fresh.disk_hits == 0 and fresh.misses == 1
 
 
 def test_disk_cache_prune_evicts_oldest_first(tmp_path):
-    cache = DiskScoreCache(str(tmp_path))
-    _fill_cache(cache, 4)
-    paths = [cache._path(("fp", 2, 2, i, 1, "ds")) for i in range(4)]
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    paths = _fill(memo, 4)
     # Make the eviction order unambiguous regardless of write timing.
     for index, path in enumerate(paths):
         os.utime(path, (index, index))
     keep_bytes = os.path.getsize(paths[2]) + os.path.getsize(paths[3])
     drop_bytes = os.path.getsize(paths[0]) + os.path.getsize(paths[1])
-    freed = cache.prune(max_bytes=keep_bytes)
+    freed = memo.prune(max_bytes=keep_bytes)
     assert freed == drop_bytes
     assert not os.path.exists(paths[0]) and not os.path.exists(paths[1])
     assert os.path.exists(paths[2]) and os.path.exists(paths[3])
-    assert cache.evictions == 2
+    assert memo.evictions == 2
 
 
 def test_disk_cache_prune_keeps_newest_even_when_oversized(tmp_path):
-    cache = DiskScoreCache(str(tmp_path))
-    _fill_cache(cache, 2)
-    paths = [cache._path(("fp", 2, 2, i, 1, "ds")) for i in range(2)]
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    paths = _fill(memo, 2)
     os.utime(paths[0], (1, 1))
     os.utime(paths[1], (2, 2))
-    cache.prune(max_bytes=1)  # smaller than any single entry
+    memo.prune(max_bytes=1)  # smaller than any single entry
     assert not os.path.exists(paths[0])
     assert os.path.exists(paths[1])  # the newest entry always survives
-    assert len(cache) == 1
+    assert len(_files(tmp_path)) == 1
 
 
 def test_disk_cache_max_bytes_enforced_on_put(tmp_path):
-    cache = DiskScoreCache(str(tmp_path), max_bytes=1)
-    _fill_cache(cache, 3)
+    memo = ResultMemo(cache_dir=str(tmp_path), max_bytes=1)
+    paths = _fill(memo, 3)
     # Every write prunes back down to the newest entry.
-    assert len(cache) == 1
-    assert cache.get(("fp", 2, 2, 2, 1, "ds")) is not None
+    assert _files(tmp_path) == [os.path.basename(paths[2])]
+    assert memo.snapshot()["disk"]["evictions"] == 2
 
 
 def test_disk_cache_get_refreshes_mtime_for_lru(tmp_path):
-    cache = DiskScoreCache(str(tmp_path))
-    _fill_cache(cache, 2)
-    old = cache._path(("fp", 2, 2, 0, 1, "ds"))
-    new = cache._path(("fp", 2, 2, 1, 1, "ds"))
+    paths = _fill(ResultMemo(cache_dir=str(tmp_path)), 2)
+    old, new = paths
     os.utime(old, (1, 1))
     os.utime(new, (2, 2))
-    # Reading the older entry marks it recently used...
-    assert cache.get(("fp", 2, 2, 0, 1, "ds")) is not None
-    entry_size = os.path.getsize(old)
-    cache.prune(max_bytes=entry_size)
+    # Reading the older entry (off disk, in a fresh memo) marks it
+    # recently used...
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    assert memo.lookup(_key(0), LEVELS) is not None
+    memo.prune(max_bytes=os.path.getsize(old))
     # ...so the other entry is the one evicted.
     assert os.path.exists(old) and not os.path.exists(new)
 
 
 def test_disk_cache_rejects_nonpositive_max_bytes(tmp_path):
-    with pytest.raises(ValueError):
-        DiskScoreCache(str(tmp_path), max_bytes=0)
+    with pytest.raises(ValueError, match="positive"):
+        ResultMemo(cache_dir=str(tmp_path), max_bytes=0)
+    with pytest.raises(ValueError, match="cache_dir"):
+        ResultMemo(max_bytes=1024)
 
 
-def test_sweep_runner_threads_cache_max_bytes(trained, tmp_path):
-    model, dataset = trained
-    runner = SweepRunner(
-        copy_levels=(1,),
-        spf_levels=(1,),
-        repeats=1,
-        cache=ScoreCache(),
-        cache_dir=str(tmp_path),
-        cache_max_bytes=1,
+def test_concurrent_stores_leave_the_widest_entry_on_disk(tmp_path):
+    """Racing stores of one key end with the memory entry on disk too.
+
+    A narrow and a wide result of the same key race: the memory tier keeps
+    the wide one, and the file must hold it as well, whichever write
+    finished first.  Without ordered writes a late narrow write could
+    overwrite the wide file, and a restart would lose the wide levels.
+    """
+    wide = _result(0)
+    narrow = replace(
+        wide,
+        copy_levels=(2,),
+        scores=wide.scores[:, 1:],
+        accuracy=wide.accuracy[:, 1:],
+        cores=wide.cores[1:],
     )
-    assert runner.disk_cache.max_bytes == 1
-    runner.cumulative_scores(model, dataset, rng=0)
-    runner.cumulative_scores(model, dataset, rng=1)
-    # The bound keeps the directory at a single (the newest) entry.
-    assert len(runner.disk_cache) == 1
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    keys = [_key(seed) for seed in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for key in keys:
+            threads = [
+                threading.Thread(target=memo.store, args=(key, result))
+                for result in (narrow, wide, narrow, narrow)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    reader = ResultMemo(cache_dir=str(tmp_path))
+    for key in keys:
+        assert reader.lookup(key, LEVELS) is not None
 
 
-def test_sweep_runner_serves_second_runner_from_disk(trained, tmp_path):
-    model, dataset = trained
-    first = _runner(cache_dir=str(tmp_path))
-    tensors = first.cumulative_scores(model, dataset, rng=0)
-    assert first.disk_cache.misses == 1 and len(first.disk_cache) == 1
-
-    second = _runner(cache_dir=str(tmp_path))
-    served = second.cumulative_scores(model, dataset, rng=0)
-    assert second.disk_cache.hits == 1
-    for a, b in zip(tensors, served):
-        assert np.array_equal(a, b)
-
-    # The disk entry also seeds the in-memory cache for subsequent calls.
-    assert second.cache.hits == 0
-    second.cumulative_scores(model, dataset, rng=0)
-    assert second.cache.hits == 1
+def test_seed_none_request_writes_nothing(trained, tmp_path):
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    session = Session(backend="vectorized", cache=ScoreCache(), result_memo=memo)
+    session.evaluate(_request(trained, seed=None, copy_levels=(1, 2)))
+    assert _files(tmp_path) == []
+    assert len(memo) == 0 and memo.hits == memo.misses == 0
 
 
-def test_memory_hit_backfills_disk_cache(trained, tmp_path):
-    """A memory-cache hit still persists the entry when cache_dir is set."""
-    model, dataset = trained
-    shared = ScoreCache()
-    warm = SweepRunner(
-        copy_levels=(1, 2), spf_levels=(1, 2), repeats=2, cache=shared
-    )
-    tensors = warm.cumulative_scores(model, dataset, rng=0)
-    persisting = SweepRunner(
-        copy_levels=(1, 2),
-        spf_levels=(1, 2),
-        repeats=2,
-        cache=shared,
-        cache_dir=str(tmp_path),
-    )
-    served = persisting.cumulative_scores(model, dataset, rng=0)
-    assert len(persisting.disk_cache) == 1
-    for a, b in zip(tensors, served):
-        assert np.array_equal(a, b)
+def test_failed_disk_write_does_not_fail_the_request(trained, tmp_path, monkeypatch):
+    """A full disk costs persistence, never the answer, and leaves no tmp."""
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    session = Session(backend="vectorized", cache=ScoreCache(), result_memo=memo)
+    monkeypatch.setattr(np, "savez_compressed", disk_full)
+    request = _request(trained, seed=5, copy_levels=(1, 2))
+    served = session.evaluate(request)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == []
+    assert memo.snapshot()["disk"]["write_errors"] == 1
+    # The memory tier still took the result.
+    passes = session.stats.engine_passes
+    again = session.evaluate(request)
+    assert session.stats.engine_passes == passes
+    assert np.array_equal(again.scores, served.scores)
 
 
 def test_fingerprint_memo_freezes_hashed_arrays(trained):
@@ -211,13 +287,6 @@ def test_evaluation_view_tracks_max_samples(trained):
     assert runner._evaluation_view(dataset).sample_count == 10
 
 
-def test_sweep_runner_disk_cache_ignores_generator_rng(trained, tmp_path):
-    model, dataset = trained
-    runner = _runner(cache_dir=str(tmp_path))
-    runner.cumulative_scores(model, dataset, rng=np.random.default_rng(0))
-    assert len(runner.disk_cache) == 0
-
-
 def test_workers_bit_identical_to_serial(trained):
     model, dataset = trained
     serial = _runner().cumulative_scores(model, dataset, rng=7)
@@ -238,32 +307,38 @@ def test_workers_run_produces_identical_sweep(trained):
 _SUBPROCESS_SCRIPT = """
 import sys
 import numpy as np
-from repro.eval.runner import ScoreCache, SweepRunner
+from repro.api import EvalRequest, ResultMemo, Session
+from repro.eval.runner import ScoreCache
 from repro.experiments.runner import ExperimentContext
 
 cache_dir, out_path = sys.argv[1], sys.argv[2]
 context = ExperimentContext(
     train_size=120, test_size=60, epochs=2, eval_samples=30, repeats=1, seed=0
 )
-runner = SweepRunner(
-    copy_levels=(1, 2), spf_levels=(1, 2), repeats=1,
-    cache=ScoreCache(), cache_dir=cache_dir,
+memo = ResultMemo(cache_dir=cache_dir)
+session = Session(backend="chip", cache=ScoreCache(), result_memo=memo)
+result = session.evaluate(
+    EvalRequest(
+        model=context.result("tea").model,
+        dataset=context.evaluation_dataset(),
+        copy_levels=(1, 2),
+        spf_levels=(1, 2),
+        seed=0,
+        collect_spike_counters=True,
+    )
 )
-tensors = runner.cumulative_scores(
-    context.result("tea").model, context.evaluation_dataset(), rng=0
-)
-np.savez(out_path, scores=tensors[0])
-print("HITS", runner.disk_cache.hits, "MISSES", runner.disk_cache.misses)
+np.savez(out_path, scores=result.scores, counters=result.spike_counters)
+print("PASSES", session.stats.engine_passes, "DISK_HITS", memo.disk_hits)
 """
 
 
 def test_disk_cache_shared_across_fresh_processes(tmp_path):
-    """Two fresh interpreter processes: identical tensors, second hits disk."""
+    """Two fresh interpreter processes: identical results, second hits disk."""
     outputs = []
     for run in range(2):
-        out_path = str(tmp_path / f"scores-{run}.npz")
+        out_path = str(tmp_path / f"result-{run}.npz")
         result = subprocess.run(
-            [sys.executable, "-c", _SUBPROCESS_SCRIPT, str(tmp_path / "cache"), out_path],
+            [sys.executable, "-c", _SUBPROCESS_SCRIPT, str(tmp_path / "store"), out_path],
             capture_output=True,
             text=True,
             check=True,
@@ -271,7 +346,8 @@ def test_disk_cache_shared_across_fresh_processes(tmp_path):
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         outputs.append((result.stdout.strip().splitlines()[-1], out_path))
-    assert outputs[0][0] == "HITS 0 MISSES 1"
-    assert outputs[1][0] == "HITS 1 MISSES 0"
+    assert outputs[0][0] == "PASSES 1 DISK_HITS 0"
+    assert outputs[1][0] == "PASSES 0 DISK_HITS 1"
     with np.load(outputs[0][1]) as first, np.load(outputs[1][1]) as second:
         assert np.array_equal(first["scores"], second["scores"])
+        assert np.array_equal(first["counters"], second["counters"])

@@ -5,7 +5,7 @@ Every test drives :class:`LatencyController` (and its integration into
 ticks fire exactly when the test says — no sleeps, no wall-clock flake.
 The clock-discipline tests at the bottom pin the ``Job`` timestamp split
 the module docstring promises: ``created`` is monotonic (the only clock
-latency math touches), ``created_wall`` is wall time (journal records
+latency math touches), ``created_wall`` is wall time (external records
 only), and the two are never differenced against each other.
 """
 

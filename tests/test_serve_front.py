@@ -188,9 +188,8 @@ def test_front_forwards_replica_bodies_byte_for_byte(fleet, client):
 
 
 def test_same_model_requests_stick_to_one_replica(fleet, client):
-    """Consistent routing is the journal-affinity mechanism: one model's
-    traffic lands on one home replica, so that replica's journal holds the
-    model's whole history."""
+    """Consistent routing keeps one model's traffic on one home replica,
+    so that replica's in-memory memo holds the model's results."""
     front, _ = fleet
     before = {
         entry["name"]: entry["proxied"]

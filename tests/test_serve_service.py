@@ -10,6 +10,8 @@ invariants at all times.
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 import threading
 
@@ -403,7 +405,7 @@ def test_request_timeout_answers_504(registry):
 
 
 # ----------------------------------------------------------------------
-# durable tier: process workers, result memo, journal warm restart
+# durable tier: process workers, result memo, warm restart
 # ----------------------------------------------------------------------
 def test_process_worker_mode_bit_identical(registry):
     """Process workers serve around the GIL with bit-identical responses.
@@ -481,21 +483,16 @@ def test_repeated_chip_request_served_from_memo(registry):
         assert metrics["memo"]["hits"] >= 1
 
 
-def test_journal_warm_restart_answers_burst_from_cache(registry, tmp_path):
-    """Kill-and-restart durability: the journal warms the next boot.
+def test_restart_on_cache_dir_answers_burst_without_engine_passes(registry, tmp_path):
+    """Kill-and-restart durability: the result store warms the next boot.
 
-    A server journals its admitted burst (vectorized + chip), is torn down,
-    and a fresh server on the same journal + cache directory must answer
-    the repeated burst bit-identically *without recomputation* (zero new
-    engine passes after the boot-time warm replay).
+    A server answers a vectorized, a chip and a board burst, is torn down,
+    and a fresh server on the same cache directory must boot without any
+    engine pass and answer the repeated burst bit-identically, again
+    without one.
     """
-    journal_path = str(tmp_path / "journal.jsonl")
     config = ServeConfig(
-        port=0,
-        workers=2,
-        queue_depth=16,
-        journal_path=journal_path,
-        cache_dir=str(tmp_path / "scores"),
+        port=0, workers=2, queue_depth=16, cache_dir=str(tmp_path / "results")
     )
     burst = [
         dict(model="tea", copy_levels=[1, 2], spf_levels=[1], seed=21),
@@ -507,42 +504,77 @@ def test_journal_warm_restart_answers_burst_from_cache(registry, tmp_path):
             collect_spike_counters=True,
             max_samples=12,
         ),
+        dict(
+            model="tea",
+            copy_levels=[1, 2],
+            spf_levels=[1, 2],
+            seed=21,
+            link_delay=1,
+            max_samples=12,
+        ),
     ]
     with EvalServer(registry, config) as running:
         client = ServeClient(port=running.port, timeout=120.0)
         first_results = [client.evaluate(**kwargs) for kwargs in burst]
-        recorded = client.metrics()["journal"]["recorded"]
-        assert recorded == len(burst)
+    assert [r.backend for r in first_results] == ["vectorized", "chip", "board"]
 
-    # "Restart": a brand-new server process state on the same durable
-    # paths.  The journal must have survived without any shutdown help.
+    # "Restart": a brand-new service state on the same directory.
     with EvalServer(registry, config) as revived:
         client = ServeClient(port=revived.port, timeout=120.0)
-        metrics = client.metrics()
-        assert metrics["journal"]["warmed_at_boot"] == len(burst)
-        passes_after_warm = metrics["sessions"]["engine_passes"]
+        assert client.metrics()["sessions"]["engine_passes"] == 0
         second_results = [client.evaluate(**kwargs) for kwargs in burst]
         metrics = client.metrics()
-        assert metrics["sessions"]["engine_passes"] == passes_after_warm
-        assert metrics["memo"]["hits"] >= len(burst)
+        assert metrics["sessions"]["engine_passes"] == 0
+        assert metrics["memo"]["disk"]["hits"] == len(burst)
         assert_metrics_invariants(metrics)
     for first, second in zip(first_results, second_results):
         assert first.backend == second.backend
         assert np.array_equal(first.scores, second.scores)
         assert np.array_equal(first.accuracy, second.accuracy)
+        if first.spike_counters is None:
+            assert second.spike_counters is None
+        else:
+            assert np.array_equal(first.spike_counters, second.spike_counters)
 
 
-def test_seed_none_requests_are_never_journaled(registry, tmp_path):
-    journal_path = str(tmp_path / "journal.jsonl")
-    config = ServeConfig(
-        port=0, workers=1, queue_depth=8, journal_path=journal_path
-    )
+def test_killed_process_worker_is_replaced_and_the_batch_reruns(registry):
+    """A SIGKILLed worker child costs one pool rebuild, not every request."""
+    config = ServeConfig(port=0, workers=1, worker_mode="process", queue_depth=8)
     with EvalServer(registry, config) as running:
         client = ServeClient(port=running.port, timeout=120.0)
-        client.evaluate(model="tea", seed=None)
-        client.evaluate(model="tea", seed=17)
+        client.evaluate(model="tea", copy_levels=[1], seed=0)
+        (pid,) = running.service._worker_stats  # the child that served it
+        os.kill(pid, signal.SIGKILL)
+        served = client.evaluate(
+            model="tea", copy_levels=[1, 2], spf_levels=[1, 2], seed=3
+        )
         metrics = client.metrics()
-        assert metrics["journal"]["recorded"] == 1
+        assert metrics["worker_restarts"] == 1
+        assert metrics["requests"]["failed"] == 0
+        assert_metrics_invariants(metrics)
+    direct = Session(cache=ScoreCache()).evaluate(
+        _direct(registry, copy_levels=(1, 2), spf_levels=(1, 2), seed=3)
+    )
+    assert np.array_equal(served.scores, direct.scores)
+    assert np.array_equal(served.accuracy, direct.accuracy)
+
+
+def test_config_rejects_cache_max_bytes_without_cache_dir():
+    with pytest.raises(ValueError, match="cache_dir"):
+        ServeConfig(cache_max_bytes=1 << 20)
+
+
+def test_config_rejects_nonpositive_cache_max_bytes(tmp_path):
+    with pytest.raises(ValueError, match="positive"):
+        ServeConfig(cache_dir=str(tmp_path), cache_max_bytes=0)
+
+
+def test_cli_refuses_to_start_on_an_invalid_cache_bound(tmp_path, capsys):
+    from repro.serve.__main__ import main
+
+    argv = ["--port", "0", "--cache-dir", str(tmp_path), "--cache-max-bytes", "0"]
+    assert main(argv) == 2
+    assert "cache_max_bytes must be positive" in capsys.readouterr().err
 
 
 def test_client_retry_honours_retry_after_hint(registry):
