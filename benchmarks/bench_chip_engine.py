@@ -33,7 +33,11 @@ chip, spread one per chip over a mesh, and split two-chips-per-copy with
 inter-chip link handoff (:func:`repro.mapping.pipeline.
 run_board_inference_multicopy`), each verified bit-identical to the
 single-chip multi-copy pass — the per-chip-count scaling record behind
-the ``board`` backend.
+the ``board`` backend.  The split point runs on ideal links
+(``link_delay=0``): there every spike path shares one latency, so the
+identity is exact on multi-layer test benches too, while at
+``link_delay > 0`` split paths of unequal hop counts change the counts
+by design.
 
 Usage::
 
@@ -338,7 +342,8 @@ def bench_board(model, volumes: np.ndarray, copies: int, repeats: int) -> dict:
     The workload (``copies`` sampled copies, the full encoded volume) stays
     fixed while the board grows: all copies packed onto one chip (the 1x1
     identity configuration), one copy per chip across a mesh, and every
-    copy split over two chips with link handoff at the layer boundary.
+    copy split over two chips with link handoff at the layer boundary, on
+    ideal links so that every path keeps the single chip's latency.
     Every configuration's per-copy class counts are compared bit for bit
     against the single-chip multi-copy pass, so the record tracks pure
     board-engine overhead, not drift.
@@ -381,7 +386,7 @@ def bench_board(model, volumes: np.ndarray, copies: int, repeats: int) -> dict:
                     cores, copies, ChipConfig(grid_shape=(1, (cores + 1) // 2))
                 ),
                 chip_config=ChipConfig(grid_shape=(1, (cores + 1) // 2)),
-                link_delay=1,
+                link_delay=0,
             ),
         ),
     ]

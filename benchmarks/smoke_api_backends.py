@@ -5,10 +5,10 @@ Runs a tiny trained model through the requested backend via
 equivalence invariant:
 
 * ``vectorized`` — score tensors bit-identical to the ``reference`` loop;
-* ``chip`` — integer readout class counts bit-identical to ``vectorized``
-  and to the ``reference`` loop, and a multi-spf grid (one max-spf pass,
-  level readout) bit-identical to its single-level requests;
-* ``board`` — counts, spike counters, and accuracy bit-identical to the
+* ``chip`` — scores and integer readout class counts bit-identical to
+  ``vectorized`` and to the ``reference`` loop, and a multi-spf grid (one
+  max-spf pass, level readout) bit-identical to its single-level requests;
+* ``board`` — scores, counts and spike counters bit-identical to the
   ``chip`` backend on the same request (deterministic and
   stochastic-synapse mode), and still identical on chips small enough to
   split every copy across the mesh;
@@ -94,6 +94,8 @@ def main() -> None:
             expected = session.evaluate(request, backend=oracle)
             if not np.array_equal(result.class_counts(), expected.class_counts()):
                 failures.append(f"chip class counts diverged from the {oracle} backend")
+            if not np.array_equal(result.scores, expected.scores):
+                failures.append(f"chip scores diverged from the {oracle} backend")
         # Grid path: a multi-spf request (one max-spf pass, level readout) must
         # match the stack of single-level requests cell for cell.
         grid_request = replace(request, spf_levels=tuple(sorted({1, args.spf})))
@@ -110,8 +112,8 @@ def main() -> None:
                     f"single-level request"
                 )
         invariant = (
-            "class counts bit-identical to vectorized and reference; spf "
-            "grid bit-identical to single-level requests"
+            "scores and class counts bit-identical to vectorized and "
+            "reference; spf grid bit-identical to single-level requests"
         )
     elif args.backend == "board":
         counters = replace(request, collect_spike_counters=True)
@@ -122,6 +124,10 @@ def main() -> None:
             if not np.array_equal(board.class_counts(), chip.class_counts()):
                 failures.append(
                     f"board class counts diverged from the chip backend ({label})"
+                )
+            if not np.array_equal(board.scores, chip.scores):
+                failures.append(
+                    f"board scores diverged from the chip backend ({label})"
                 )
             if not np.array_equal(board.spike_counters, chip.spike_counters):
                 failures.append(
@@ -137,13 +143,16 @@ def main() -> None:
             failures.append(
                 "split-copy board class counts diverged from the chip backend"
             )
+        if not np.array_equal(split.scores, chip_ref.scores):
+            failures.append("split-copy board scores diverged from the chip backend")
         if not np.array_equal(split.spike_counters, chip_ref.spike_counters):
             failures.append(
                 "split-copy board spike counters diverged from the chip backend"
             )
         invariant = (
-            "counts and spike counters bit-identical to the chip backend "
-            "(incl. stochastic synapses and split copies under link delay)"
+            "scores, counts and spike counters bit-identical to the chip "
+            "backend (incl. stochastic synapses and split copies under link "
+            "delay)"
         )
     else:
         again = session.evaluate(request, backend="reference")

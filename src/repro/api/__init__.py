@@ -40,11 +40,12 @@ Quickstart::
     print(result.mean_accuracy)       # (copies, spf) accuracy grid
     print(result.accuracy_at(4, 2))   # one grid point
 
-Switching ``backend="vectorized"`` to ``"reference"`` or ``"chip"`` changes
-nothing but the engine: the same request produces bit-identical score
-tensors on the vectorized and reference backends, and bit-identical integer
-readout counts (``result.class_counts()``) on the chip backend.  See the
-top-level README for the full backend-choice guide.
+Switching ``backend="vectorized"`` to ``"reference"``, ``"chip"`` or
+``"board"`` changes nothing but the engine: the same request produces the
+same integer readout counts (``result.class_counts()``) on every backend,
+and every backend divides them once (``counts / n_k``), so the score
+tensors and accuracy grids are bit-identical too.  See the top-level
+README for the full backend-choice guide.
 """
 
 from repro.api.backends import (

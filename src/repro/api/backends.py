@@ -37,9 +37,14 @@ Four backends wrap the repo's evaluation engines behind one
 All four consume the canonical randomness layout documented in
 :mod:`repro.api.protocol`, so a request produces the same sampled
 connectivities and the same input spike realizations on every backend.
-Each backend's ``evaluate`` returns per-repeat *cumulative* score tensors
-sliced to the requested grid; the shared helpers here do the slicing and
-accuracy derivation so result shapes cannot drift apart between backends.
+Each backend hands per-repeat *cumulative* class counts to one funnel,
+:func:`_result_from_cumulative`, which slices them to the requested grid,
+divides once (``scores = counts / n_k``) and derives the accuracy.  The
+chip and board passes read integer counts off the readout; the
+functional engines accumulate float class means, which the funnel
+converts back to counts exactly.  Every backend's scores are therefore
+exact class means, equal at ``atol=0`` wherever the counts agree, and
+the result shape cannot drift apart between backends.
 """
 
 from __future__ import annotations
@@ -142,12 +147,20 @@ def _result_from_cumulative(
     spike_counters: Optional[np.ndarray] = None,
     spf_axis_levels: Optional[Tuple[int, ...]] = None,
 ) -> EvalResult:
-    """Slice per-repeat cumulative ``(max_c, max_s, batch, classes)`` tensors
-    down to the requested grid and derive the accuracy tensor.
+    """Slice per-repeat cumulative ``(max_c, max_s, batch, classes)`` class
+    counts down to the requested grid, divide once into class-mean scores,
+    and derive the accuracy tensor.
 
     Every backend funnels through this one helper, which is what keeps the
-    result shape (and the accuracy convention: argmax of accumulated
-    class-mean scores against the labels) identical across backends.
+    result shape, the score convention (``scores = counts / n_k``, with
+    ``n_k`` as int64) and the accuracy convention (argmax of the scores
+    against the labels) identical across backends.
+
+    The chip and board backends pass integer counts.  The functional
+    engines pass float cumulative class means, whose per-frame sums can
+    differ from ``counts / n_k`` in the last bits on multi-layer networks;
+    every entry is a small integer over ``n_k``, so ``rint(means * n_k)``
+    recovers the counts exactly before the one division.
 
     ``spf_axis_levels`` names the spf levels the tensors' second axis holds
     when it is not the dense ``1..max_spf`` range (the chip and board
@@ -185,7 +198,16 @@ def _result_from_cumulative(
                 f"{request.repeats}, copies={request.max_copies}, "
                 f"cores_per_copy, batch={batch})"
             )
-    scores = stacked[:, copy_index][:, :, spf_index]
+    n_k = np.asarray(n_k, dtype=np.int64)
+    # Fancy indexing copies, so the in-place steps below never touch a
+    # caller's (possibly cached) tensor.
+    counts = stacked[:, copy_index][:, :, spf_index]
+    if counts.dtype.kind == "f":
+        counts *= n_k
+        np.rint(counts, out=counts)
+    # Integer-valued floats convert to float64 exactly, so this is the
+    # same division as on int64 counts.
+    scores = counts / n_k
     predictions = scores.argmax(axis=-1)
     labels = np.asarray(evaluation.labels)
     accuracy = (predictions == labels).mean(axis=-1)
@@ -333,17 +355,16 @@ def _level_groups(
     return [spf_levels] if one_pass else [(spf,) for spf in spf_levels]
 
 
-def _cumulative_scores(counts: np.ndarray, n_k: np.ndarray) -> List[np.ndarray]:
-    """Per-repeat class-mean score tensors from per-level readout counts.
+def _cumulative_counts(counts: np.ndarray) -> List[np.ndarray]:
+    """Per-repeat cumulative class counts from per-level readout counts.
 
     ``counts`` is ``(levels, repeats, copies, batch, classes)``.  Copy
     levels are nested prefixes, so an exact integer cumsum over the copies
     axis serves every copy level.  Each repeat's tensor comes back as
-    ``(copies, levels, batch, classes)``; the integer counts stay exactly
-    recoverable through :meth:`EvalResult.class_counts`.
+    ``(copies, levels, batch, classes)``.
     """
-    scores = np.cumsum(counts, axis=2).astype(float) / n_k
-    return [scores[:, repeat].swapaxes(0, 1) for repeat in range(counts.shape[1])]
+    cumulative = np.cumsum(counts, axis=2)
+    return [cumulative[:, repeat].swapaxes(0, 1) for repeat in range(counts.shape[1])]
 
 
 def _deploy_and_encode(
@@ -428,14 +449,13 @@ def _grid_result(
     ``spf_levels`` ascends, so the last pass holds the spike counters a
     single-level request at ``max_spf`` reports.
     """
-    n_k = class_neuron_counts(network)
     counts = np.concatenate([level_counts for level_counts, _ in results])
     return _result_from_cumulative(
         request,
         backend_name,
-        _cumulative_scores(counts, n_k),
+        _cumulative_counts(counts),
         evaluation,
-        n_k,
+        class_neuron_counts(network),
         network.core_count,
         spike_counters=results[-1][1],
         spf_axis_levels=request.spf_levels,
@@ -522,10 +542,9 @@ class ChipBackend:
     bit-identical at any worker count.  Copy and repeat levels fall out of
     one pass: copy levels are nested prefixes via an exact integer cumsum
     over the per-copy readout counts, repeats are independent rows of the
-    folded image.  Scores are the class-mean convention ``counts / n_k``,
-    so :meth:`EvalResult.class_counts` recovers the chip's integer readout
-    counts exactly — the cross-backend invariant the property tests assert
-    against the vectorized backend.
+    folded image.  Scores are the class-mean convention ``counts / n_k``
+    shared by every backend, so they equal the functional backends' scores
+    bit for bit — the cross-backend invariant the property tests assert.
 
     Args:
         workers: fan per-level (stochastic) passes over N processes

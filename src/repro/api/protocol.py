@@ -12,8 +12,10 @@ with its own call signature and RNG conventions.  This module pins down the
   (spike counters, router delay).
 * :class:`EvalResult` — one normalized result shape: an accumulated
   class-score tensor of shape ``(repeats, len(copy_levels),
-  len(spf_levels), batch, num_classes)`` plus the per-grid-point accuracy
-  derived from it, regardless of which backend produced it.
+  len(spf_levels), batch, num_classes)`` holding exact class means
+  (integer readout counts divided once by ``n_k``) plus the
+  per-grid-point accuracy derived from it, regardless of which backend
+  produced it.
 * :class:`BackendCapabilities` / :class:`EvaluationBackend` — what a
   backend must implement and how callers (and the
   :class:`~repro.api.session.Session` auto-selector) discover what it can
@@ -29,8 +31,8 @@ per repeat; each repeat deploys ``max(copy_levels)`` copies from that
 generator and then encodes the input spikes from its advanced state.  Two
 backends given the same request therefore sample identical connectivities
 and identical spike volumes — which is what makes the cross-backend
-equivalence invariants (bit-identical scores for vectorized vs reference,
-bit-identical readout spike counts for the chip) testable at ``atol=0``.
+equivalence invariant (the same readout spike counts, hence bit-identical
+scores and accuracy, on every backend) testable at ``atol=0``.
 """
 
 from __future__ import annotations
@@ -237,19 +239,26 @@ class EvalRequest:
 class EvalResult:
     """One normalized evaluation result.
 
+    Every backend builds its result the same way: integer readout spike
+    counts per class, divided once by ``n_k``.  The float ``scores`` are
+    therefore exact class means, bit-identical across backends whenever
+    their counts agree, and the serve wire carries the counts in their
+    place (:mod:`repro.serve.codec`).
+
     Attributes:
         backend: name of the backend that produced the result.
         copy_levels / spf_levels: the reported grid (ascending).
         scores: accumulated class-mean score tensor of shape ``(repeats,
-            len(copy_levels), len(spf_levels), batch, num_classes)``;
-            ``scores[r, i, j]`` is the score a ``(copy_levels[i],
-            spf_levels[j])`` deployment accumulates for repeat ``r``.
+            len(copy_levels), len(spf_levels), batch, num_classes)``,
+            float64 ``counts / n_k``; ``scores[r, i, j]`` is the score a
+            ``(copy_levels[i], spf_levels[j])`` deployment accumulates for
+            repeat ``r``.
         accuracy: per-repeat accuracy grid ``(repeats, len(copy_levels),
             len(spf_levels))`` (argmax of ``scores`` against the labels).
         labels: evaluated ground-truth labels ``(batch,)``.
-        class_neuron_counts: readout neurons per class ``n_k`` — the
-            class-mean denominator, kept so integer readout spike counts can
-            be recovered exactly from the float scores.
+        class_neuron_counts: readout neurons per class ``n_k`` (int64) —
+            the class-mean denominator, kept so integer readout spike
+            counts can be recovered exactly from the float scores.
         cores: total cores occupied at each copy level.
         seed: the request's root seed (``None`` = fresh entropy).
         repeats: number of independent repeats in the tensors.
@@ -292,10 +301,8 @@ class EvalResult:
 
         Scores are per-class *means* (``counts / n_k``); multiplying back by
         ``n_k`` and rounding recovers the exact integers because every count
-        is a small integer and the float error of the accumulated means is
-        orders of magnitude below 1/2.  Shape matches :attr:`scores`, dtype
-        int64 — the quantity the chip backend's equivalence invariant is
-        stated on.
+        is a small integer and the float error of one division is orders
+        of magnitude below 1/2.  Shape matches :attr:`scores`, dtype int64.
 
         Raises:
             ResultShapeError: when the score tensor's grid axes disagree

@@ -65,6 +65,12 @@ from repro.eval.runner import ScoreCache, dataset_fingerprint, model_fingerprint
 #: Sentinel for capability-based backend selection.
 AUTO = "auto"
 
+#: File-name prefix of the result store's entries, whose scores are exact
+#: class means (``counts / n_k``) on every backend.  Older ``result-*.npz``
+#: files may hold float-summed functional scores, which the wire refuses to
+#: send, so they are neither read nor pruned.
+_ENTRY_PREFIX = "exact-"
+
 
 @dataclass
 class PendingEvaluation:
@@ -165,11 +171,13 @@ class ResultMemo:
     (outside the lock) into the memory LRU before the cover check, so a
     fresh process on the same directory — a restarted replica, or a
     survivor taking over a dead one's traffic — is warm without running
-    anything.  Files are written to a temporary name and moved into place
-    with ``os.replace``, so concurrent readers (threads or processes) see
-    either nothing or a complete entry.  A torn, unreadable, or
-    key-mismatched file is a miss, files load with pickle disabled, and a
-    failed write (a full disk) is counted, never raised.  With
+    anything.  Entries are ``exact-<sha256>.npz``; files of any other
+    name are neither read nor pruned.  Files are written to a temporary
+    name and moved into place with ``os.replace``, so concurrent readers
+    (threads or processes) see either nothing or a complete entry.  A
+    torn, unreadable, or key-mismatched file is a miss, files load with
+    pickle disabled, and a failed write (a full disk) is counted, never
+    raised.  With
     ``max_bytes`` set every write evicts least-recently-used files —
     oldest mtime first; reads touch the mtime — until the directory is
     back under the bound; the newest file is never evicted, so one
@@ -275,7 +283,7 @@ class ResultMemo:
     def _path(self, key: Tuple) -> str:
         assert self.cache_dir is not None
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        return os.path.join(self.cache_dir, f"result-{digest}.npz")
+        return os.path.join(self.cache_dir, f"{_ENTRY_PREFIX}{digest}.npz")
 
     def _read(self, key: Tuple) -> Optional[EvalResult]:
         path = self._path(key)
@@ -370,7 +378,7 @@ class ResultMemo:
             return 0
         entries: List[Tuple[float, int, str]] = []
         for name in os.listdir(self.cache_dir):
-            if not (name.startswith("result-") and name.endswith(".npz")):
+            if not (name.startswith(_ENTRY_PREFIX) and name.endswith(".npz")):
                 continue
             path = os.path.join(self.cache_dir, name)
             try:

@@ -12,14 +12,23 @@ types.  Two asymmetries shape the codec:
 * A wire result carries every tensor by value.  Arrays are encoded as
   ``{"dtype", "shape", "data"}`` where ``data`` is the base64 of the
   array's little-endian bytes in C order.  The wire carries the raw
-  IEEE-754 (and two's-complement) bytes, not ``repr`` text, so a decoded
-  :class:`EvalResult` is **bit-identical** to the served one — NaN payloads
-  and signed zeros included — the invariant the service smoke job asserts
-  against direct :meth:`Session.evaluate`.
+  IEEE-754 (and two's-complement) bytes, not ``repr`` text.  The score
+  tensor travels as what it is made of: the integer class counts, in the
+  narrowest of int16, int32 and int64 that holds the largest count, and
+  the decoder rebuilds ``scores = counts / n_k``.  Every backend's scores
+  are exactly that division, so a decoded :class:`EvalResult` is
+  **bit-identical** to the served one — the invariant the service smoke
+  job asserts against direct :meth:`Session.evaluate` — at about a
+  quarter of the float64 body.  :func:`encode_result` refuses (a plain
+  ``ValueError``, hence a ``500``) scores that are not exact class means,
+  rather than send a body that would decode to different bits.
 
 Validation is strict: unknown fields, wrong types (including ``True`` where
-an int is expected), and malformed arrays (non-base64 ``data``, a byte
-count that does not fit the shape, bool bytes other than 0 and 1) all raise
+an int is expected), malformed arrays (non-base64 ``data``, a byte count
+that does not fit the shape, bool bytes other than 0 and 1), and results
+that contradict themselves (a counts, accuracy, cores or spike-counter
+tensor whose shape disagrees with the declared repeats, levels, labels or
+``n_k``, negative counts, an ``n_k`` below 1) all raise
 :class:`CodecError`, which the HTTP layer maps to a typed ``400`` error
 payload.  Typed payloads (:func:`error_payload`) also cover
 :class:`~repro.api.protocol.UnsupportedRequestError` (``422``), unknown
@@ -291,7 +300,10 @@ def to_eval_request(wire: WireRequest, registry) -> EvalRequest:
 # arrays and results
 # ----------------------------------------------------------------------
 #: dtypes a wire array may carry; anything else is a protocol violation.
-WIRE_DTYPES = ("float64", "int64", "bool")
+WIRE_DTYPES = ("float64", "int64", "int32", "int16", "bool")
+
+#: integer dtypes a counts tensor may travel in, narrowest first.
+_COUNT_DTYPES = (np.int16, np.int32, np.int64)
 
 
 def encode_array(array: np.ndarray) -> Dict[str, object]:
@@ -344,13 +356,61 @@ def decode_array(obj: object, field: str = "array") -> np.ndarray:
         raise CodecError(f"{field}.shape is invalid: {error}", field=field) from None
 
 
+def _wire_counts(result: EvalResult) -> np.ndarray:
+    """The class counts behind ``result.scores``, in their narrowest dtype.
+
+    The check divides by the int64 ``n_k`` the wire sends, so it rebuilds
+    exactly what :func:`decode_result` will.  One float64 temporary holds
+    ``rint(scores * n_k)`` and then the rebuilt ``counts / n_k``: large
+    temporaries, not arithmetic, dominate the cost at serve-hot sizes.
+
+    Raises:
+        ValueError: when the scores are not float64 exact class means of
+            non-negative counts over an ``n_k >= 1``, so that
+            ``counts / n_k`` would not rebuild them bit for bit.  The
+            request was valid, so this is a server fault, not a
+            :class:`CodecError`.
+    """
+    scores = np.asarray(result.scores)
+    n_k = np.asarray(result.class_neuron_counts, dtype=np.int64)
+    if (
+        scores.dtype != np.float64
+        or n_k.shape != scores.shape[-1:]
+        or n_k.size == 0
+        or n_k.min() < 1
+    ):
+        raise ValueError(
+            f"cannot send {result.backend!r} scores of dtype {scores.dtype} and "
+            f"shape {scores.shape} over class_neuron_counts {n_k.tolist()} as "
+            "class counts"
+        )
+    product = scores * n_k
+    np.rint(product, out=product)
+    peak = float(product.max(initial=0.0))
+    if product.min(initial=0.0) >= 0.0 and peak < 2.0**63:
+        dtype = next(d for d in _COUNT_DTYPES if peak <= np.iinfo(d).max)
+        counts = product.astype(dtype)
+        np.divide(counts, n_k, out=product)
+        if np.array_equal(product.view(np.uint64), scores.view(np.uint64)):
+            return counts
+    raise ValueError(
+        f"{result.backend!r} scores are not exact class means counts / n_k of "
+        "non-negative counts; the wire cannot rebuild them bit for bit"
+    )
+
+
 def encode_result(result: EvalResult) -> Dict[str, object]:
-    """An :class:`EvalResult` as a JSON-safe payload (exact, see module doc)."""
+    """An :class:`EvalResult` as a JSON-safe payload (exact, see module doc).
+
+    Raises:
+        ValueError: when the scores are not exact class means (see
+            :func:`_wire_counts`).
+    """
     return {
         "backend": result.backend,
         "copy_levels": list(result.copy_levels),
         "spf_levels": list(result.spf_levels),
-        "scores": encode_array(result.scores),
+        "counts": encode_array(_wire_counts(result)),
         "accuracy": encode_array(result.accuracy),
         "labels": encode_array(np.asarray(result.labels, dtype=np.int64)),
         "class_neuron_counts": encode_array(
@@ -371,7 +431,7 @@ _RESULT_FIELDS = (
     "backend",
     "copy_levels",
     "spf_levels",
-    "scores",
+    "counts",
     "accuracy",
     "labels",
     "class_neuron_counts",
@@ -383,7 +443,18 @@ _RESULT_FIELDS = (
 
 
 def decode_result(payload: object) -> EvalResult:
-    """Decode :func:`encode_result` output back into an :class:`EvalResult`."""
+    """Decode :func:`encode_result` output back into an :class:`EvalResult`.
+
+    The scores are rebuilt as ``counts / n_k``: true division casts both
+    operands to float64 exactly, so dividing the narrow wire counts is
+    dividing their int64 widening, with no int64 copy in between.  Every
+    array must agree with the declared grid:
+    ``counts`` is ``(repeats, len(copy_levels), len(spf_levels),
+    len(labels), len(class_neuron_counts))``, ``accuracy`` its first three
+    axes, ``cores`` one entry per copy level, ``spike_counters`` (when
+    sent) ``(repeats, max copy level, cores, len(labels))``; counts are
+    non-negative and every ``n_k`` at least 1.
+    """
     if not isinstance(payload, dict):
         raise CodecError(
             f"result payload must be a JSON object, got {type(payload).__name__}"
@@ -398,25 +469,73 @@ def decode_result(payload: object) -> EvalResult:
     seed = payload["seed"]
     _require(seed is None or _is_int(seed), "seed must be an integer or null", "seed")
     _require(_is_int(payload["repeats"]), "repeats must be an integer", "repeats")
+    copy_levels = _int_tuple(payload["copy_levels"], "copy_levels")
+    spf_levels = _int_tuple(payload["spf_levels"], "spf_levels")
+    counts = decode_array(payload["counts"], "counts")
+    accuracy = decode_array(payload["accuracy"], "accuracy")
+    labels = decode_array(payload["labels"], "labels")
+    n_k = decode_array(payload["class_neuron_counts"], "class_neuron_counts")
+    cores = decode_array(payload["cores"], "cores")
+    _require(
+        counts.dtype.name in ("int16", "int32", "int64"),
+        f"counts must be an integer array, got {counts.dtype.name}",
+        "counts",
+    )
+    _require(labels.ndim == 1, "labels must be one-dimensional", "labels")
+    _require(
+        n_k.ndim == 1 and n_k.dtype == np.int64,
+        "class_neuron_counts must be a one-dimensional int64 array",
+        "class_neuron_counts",
+    )
+    _require(
+        n_k.size > 0 and n_k.min() >= 1,
+        f"class_neuron_counts must all be >= 1, got {n_k.tolist()}",
+        "class_neuron_counts",
+    )
+    grid = (int(payload["repeats"]), len(copy_levels), len(spf_levels))
+    expected = grid + (len(labels), len(n_k))
+    _require(
+        counts.shape == expected,
+        f"counts has shape {counts.shape}; repeats, copy_levels, spf_levels, "
+        f"labels and class_neuron_counts give {expected}",
+        "counts",
+    )
+    _require(counts.min(initial=0) >= 0, "counts must be >= 0", "counts")
+    _require(
+        accuracy.shape == grid,
+        f"accuracy has shape {accuracy.shape}; the grid is {grid}",
+        "accuracy",
+    )
+    _require(
+        cores.shape == (len(copy_levels),),
+        f"cores has shape {cores.shape}; expected one entry per copy level "
+        f"({len(copy_levels)})",
+        "cores",
+    )
     spike_counters = payload["spike_counters"]
+    if spike_counters is not None:
+        spike_counters = decode_array(spike_counters, "spike_counters")
+        _require(
+            spike_counters.ndim == 4
+            and spike_counters.shape[:2] == (grid[0], copy_levels[-1])
+            and spike_counters.shape[3] == len(labels),
+            f"spike_counters has shape {spike_counters.shape}; expected "
+            f"(repeats, max copy level, cores, batch) = ({grid[0]}, "
+            f"{copy_levels[-1]}, cores, {len(labels)})",
+            "spike_counters",
+        )
     return EvalResult(
         backend=payload["backend"],
-        copy_levels=_int_tuple(payload["copy_levels"], "copy_levels"),
-        spf_levels=_int_tuple(payload["spf_levels"], "spf_levels"),
-        scores=decode_array(payload["scores"], "scores"),
-        accuracy=decode_array(payload["accuracy"], "accuracy"),
-        labels=decode_array(payload["labels"], "labels"),
-        class_neuron_counts=decode_array(
-            payload["class_neuron_counts"], "class_neuron_counts"
-        ),
-        cores=decode_array(payload["cores"], "cores"),
+        copy_levels=copy_levels,
+        spf_levels=spf_levels,
+        scores=counts / n_k,
+        accuracy=accuracy,
+        labels=labels,
+        class_neuron_counts=n_k,
+        cores=cores,
         seed=None if seed is None else int(seed),
         repeats=int(payload["repeats"]),
-        spike_counters=(
-            None
-            if spike_counters is None
-            else decode_array(spike_counters, "spike_counters")
-        ),
+        spike_counters=spike_counters,
     )
 
 

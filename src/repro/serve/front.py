@@ -33,8 +33,10 @@ the front-tier decision protects the fleet without burning a connection
 per shed request.
 
 **Health and ejection.**  A poller thread probes every replica's
-``/healthz`` each ``poll_interval``; ``eject_after`` consecutive failures
-eject it from the ring (its models re-home deterministically onto the
+``/healthz`` each ``poll_interval``; a probe fails unless the replica
+answers with status ``ok`` (a draining replica answers
+``shutting-down``), and ``eject_after`` consecutive failures eject it
+from the ring (its models re-home deterministically onto the
 survivors), and a recovering replica rejoins with its old assignments
 restored — rendezvous hashing moves only the ejected replica's keys in
 both directions.  A proxy attempt that hits a dead socket, a torn answer
@@ -186,8 +188,9 @@ class FrontConfig:
         host / port: bind address; ``port=0`` asks the OS for a port.
         replicas: the fleet, as ``"host:port"`` specs.
         poll_interval: seconds between health/drain polls of each replica.
-        eject_after: consecutive failed ``/healthz`` probes before a
-            replica is ejected from the ring.
+        eject_after: consecutive failed ``/healthz`` probes (no answer,
+            or a status other than ``ok``) before a replica is ejected
+            from the ring.
         request_timeout: socket timeout for one proxied ``/v1/evaluate``
             call (must exceed the replicas' own request timeout).
         probe_timeout: socket timeout for health/metrics polls — short,
@@ -308,7 +311,9 @@ class FrontService:
             with self._lock:
                 state = self._replicas[name]
             alive = self._get_json(state, "/healthz", self.config.probe_timeout)
-            if alive is None:
+            if alive is None or alive.get("status") != "ok":
+                # A draining replica answers /healthz but 503s every
+                # evaluation: it must not rejoin until it reports ok.
                 self._mark_failure(name, during="poll")
                 continue
             metrics = self._get_json(state, "/metrics", self.config.probe_timeout)

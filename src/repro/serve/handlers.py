@@ -9,7 +9,8 @@ Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
   pool resolves it, answer ``200 {"result": ...}``.  Failures answer the
   typed error payloads of :func:`repro.serve.codec.error_payload`; overload
   answers ``429`` with a ``Retry-After`` header (the adaptive admission
-  controller's measured-drain estimate) instead of queuing without bound.
+  controller's measured-drain estimate) instead of queuing without bound,
+  and a result the wire cannot carry exactly answers ``500``.
 * ``GET /v1/models`` — the hosted models/datasets/backends.
 * ``GET /healthz`` — liveness plus queue occupancy.
 * ``GET /metrics`` — request counters (with the conservation invariants),
@@ -66,8 +67,9 @@ class _JsonHandler(BaseHTTPRequestHandler):
     for the ``/metrics`` request table.
     """
 
-    # 1.4: array ``data`` is base64 bytes; 1.3 clients cannot decode it.
-    server_version = "repro-serve/1.4"
+    # 1.5: a result carries integer ``counts`` in place of float64
+    # ``scores``; 1.4 clients cannot decode it.
+    server_version = "repro-serve/1.5"
     #: Socket timeout (seconds) of every blocking read and write, so a
     #: stalled peer cannot hold a handler thread.  Waiting for the worker
     #: pool is not socket I/O and is bounded by ``request_timeout`` instead.
@@ -213,7 +215,16 @@ class ServeHandler(_JsonHandler):
         if job.error is not None:
             self._send_error_payload(route, job.error)
             return
-        self._send_json(route, 200, {"result": encode_result(job.result)})
+        try:
+            answer: Dict[str, object] = {"result": encode_result(job.result)}
+        except ValueError as error:
+            # The result, not the request, is at fault: always a 500, so a
+            # CodecError from encoding must not pass for a 400.
+            self._send_error_payload(
+                route, RuntimeError(f"result cannot be sent exactly: {error}")
+            )
+            return
+        self._send_json(route, 200, answer)
 
 
 class FrontHandler(_JsonHandler):

@@ -3,15 +3,17 @@
 The protocol's core promise: the backend is an implementation detail.  The
 same :class:`EvalRequest` must produce
 
-* **bit-identical score tensors** on the ``vectorized`` and ``reference``
-  backends (``atol=0`` — the folded-gate engine is exact, see
-  :mod:`repro.eval.engine`), and
-* **bit-identical integer readout class counts** on the ``chip`` backend
-  (scores differ only in the order of the final class-mean division).
+* **bit-identical integer readout class counts** on every backend (the
+  folded-gate engine is exact, see :mod:`repro.eval.engine`, and the chip
+  simulators match it spike for spike), and therefore
+* **bit-identical score tensors and accuracy grids** on every backend
+  (``atol=0``): each divides its counts once, ``scores = counts / n_k``.
 
-These are property tests over grids and seeds on a tiny trained model, plus
-the Figure 7 acceptance check: flipping the driver's ``backend=`` config
-between ``"vectorized"`` and ``"reference"`` changes nothing in the scores.
+These are property tests over grids and seeds on tiny trained models of
+test benches 1 and 5 (two layers, where float-summed class means used to
+differ from the chip's in the last bits), plus the Figure 7 acceptance
+check: flipping the driver's ``backend=`` config between ``"vectorized"``
+and ``"reference"`` changes nothing in the scores.
 """
 
 import numpy as np
@@ -38,6 +40,23 @@ def _trained(tiny_context):
     _MODEL["dataset"] = tiny_context.evaluation_dataset().take(24)
     yield
     _MODEL.clear()
+
+
+@pytest.fixture(scope="module")
+def testbench_5():
+    """A trained two-layer test bench 5 model and 16 evaluation samples."""
+    from repro.experiments.runner import ExperimentContext
+
+    context = ExperimentContext(
+        testbench=5,
+        train_size=120,
+        test_size=40,
+        epochs=1,
+        eval_samples=16,
+        repeats=1,
+        seed=0,
+    )
+    return context.result("tea").model, context.evaluation_dataset()
 
 
 def _request(copy_levels, spf_levels, seed, repeats=1):
@@ -105,27 +124,17 @@ def test_chip_class_counts_bit_identical_to_vectorized(copies, spf, seed):
     assert np.array_equal(chip.accuracy, vectorized.accuracy)
 
 
-def test_chip_multilayer_counts_match_vectorized(tiny_context):
+def test_chip_multilayer_counts_match_vectorized(testbench_5):
     """The multi-layer path (router hops, drain ticks) agrees too.
 
     The grid's spf levels are read off one max-spf chip (and board) pass,
     so this pins the level readout's ``(depth - 1) * delay`` offset on a
     trained multi-layer model against the vectorized engine.
     """
-    from repro.experiments.runner import ExperimentContext
-
-    context = ExperimentContext(
-        testbench=5,
-        train_size=120,
-        test_size=40,
-        epochs=1,
-        eval_samples=16,
-        repeats=1,
-        seed=0,
-    )
+    model, dataset = testbench_5
     request = EvalRequest(
-        model=context.result("tea").model,
-        dataset=context.evaluation_dataset(),
+        model=model,
+        dataset=dataset,
         copy_levels=(1, 2),
         spf_levels=(1, 2, 3),
         repeats=1,
@@ -138,6 +147,46 @@ def test_chip_multilayer_counts_match_vectorized(tiny_context):
         assert np.array_equal(
             cycle_accurate.class_counts(), vectorized.class_counts()
         )
+
+
+# ----------------------------------------------------------------------
+# every backend: one score convention, bit-identical scores
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("testbench", [1, 5])
+@given(
+    copies=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    spfs=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=4, deadline=None)
+def test_every_backend_scores_and_accuracy_bit_identical(
+    testbench, testbench_5, copies, spfs, seed
+):
+    """Scores, not only ``class_counts()``, agree at ``atol=0`` everywhere."""
+    if testbench == 1:
+        model, dataset = _MODEL["model"], _MODEL["dataset"]
+    else:
+        model, dataset = testbench_5
+    request = EvalRequest(
+        model=model,
+        dataset=dataset,
+        copy_levels=tuple(copies),
+        spf_levels=tuple(spfs),
+        repeats=2,
+        seed=seed,
+    )
+    session = _session()
+    results = {
+        backend: session.evaluate(request, backend=backend)
+        for backend in ("vectorized", "reference", "chip", "board")
+    }
+    chip = results.pop("chip")
+    assert chip.scores.dtype == np.float64
+    assert chip.class_neuron_counts.dtype == np.int64
+    for backend, result in results.items():
+        assert result.scores.tobytes() == chip.scores.tobytes(), backend
+        assert np.array_equal(result.accuracy, chip.accuracy), backend
+        assert result.class_neuron_counts.dtype == np.int64, backend
 
 
 # ----------------------------------------------------------------------

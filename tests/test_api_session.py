@@ -238,7 +238,7 @@ def test_session_threads_disk_cache_into_vectorized_backend(trained, tmp_path):
         backend="vectorized", result_memo=ResultMemo(cache_dir=str(tmp_path))
     )
     first = session.evaluate(_request(trained))
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("result-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith("exact-")]
     assert len(entries) == 1
 
     # A second session over the same directory is served from disk without
@@ -258,10 +258,10 @@ def test_session_cache_max_bytes_reaches_runner(trained, tmp_path):
     session = _session(backend="vectorized", result_memo=memo)
     session.evaluate(_request(trained))
     # The bound is enforced on write; only the newest entry survives.
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("result-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith("exact-")]
     assert len(entries) == 1
     session.evaluate(_request(trained, seed=123))
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("result-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith("exact-")]
     assert len(entries) == 1
     assert memo.evictions == 1
 

@@ -76,7 +76,7 @@ def _files(directory):
     return sorted(
         name
         for name in os.listdir(directory)
-        if name.startswith("result-") and name.endswith(".npz")
+        if name.startswith("exact-") and name.endswith(".npz")
     )
 
 
@@ -137,6 +137,23 @@ def test_disk_cache_entry_with_mismatched_key_is_a_miss(tmp_path):
     fresh = ResultMemo(cache_dir=str(tmp_path))
     assert fresh.lookup(_key(0), LEVELS) is None
     assert fresh.disk_hits == 0 and fresh.misses == 1
+
+
+def test_disk_cache_ignores_files_of_the_old_prefix(tmp_path):
+    """``result-*.npz`` entries of the older store may hold float-summed
+    functional scores, which the wire refuses to send: they are neither
+    read nor pruned."""
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    memo.store(_key(0), _result(0))
+    new_path = memo._path(_key(0))
+    digest = os.path.basename(new_path).removeprefix("exact-")
+    old_path = os.path.join(tmp_path, "result-" + digest)
+    os.replace(new_path, old_path)
+    fresh = ResultMemo(cache_dir=str(tmp_path))
+    assert fresh.lookup(_key(0), LEVELS) is None
+    assert fresh.disk_hits == 0 and fresh.misses == 1
+    assert fresh.prune(max_bytes=1) == 0
+    assert os.path.exists(old_path)
 
 
 def test_disk_cache_prune_evicts_oldest_first(tmp_path):

@@ -3,16 +3,20 @@
 The protocol promise is *losslessness*: any :class:`EvalRequest` the
 protocol allows survives ``encode → json.dumps → json.loads → decode``
 with every field intact (models and datasets round-trip by registry name),
-and any :class:`EvalResult` survives the same trip **bit-identically**
-(arrays travel as base64 of their raw little-endian bytes).
-Hypothesis drives the field combinations, including multi-point
-(copies, spf) grids and the chip-only capability flags.
+and any :class:`EvalResult` whose scores are exact class means (every
+backend's are) survives the same trip **bit-identically**: arrays travel
+as base64 of their raw little-endian bytes, and the scores as the integer
+counts they are made of.  Hypothesis drives the field combinations,
+including multi-point (copies, spf) grids and the chip-only capability
+flags.  A result the wire cannot rebuild exactly is refused at encode,
+and one that contradicts itself is refused at decode.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,14 +127,15 @@ array_shapes = st.tuples(
 @given(
     shape=array_shapes,
     seed=st.integers(min_value=0, max_value=2**31),
-    scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6, 1e15]),
+    peak=st.sampled_from([0, 1, 229, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**50]),
     with_counters=st.booleans(),
 )
-def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
+def test_result_roundtrip_is_bit_identical(shape, seed, peak, with_counters):
     """EvalResult -> wire JSON -> EvalResult is exact to the last bit."""
     repeats, n_copies, n_spf, batch, classes = shape
     rng = np.random.default_rng(seed)
-    scores = rng.standard_normal(shape) * scale
+    n_k = rng.integers(1, 9, size=classes).astype(np.int64)
+    counts = rng.integers(0, peak + 1, size=shape).astype(np.int64)
     accuracy = rng.random((repeats, n_copies, n_spf))
     spike_counters = (
         rng.integers(0, 50, size=(repeats, n_copies, 2, batch)).astype(np.int64)
@@ -141,10 +146,10 @@ def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
         backend="vectorized",
         copy_levels=tuple(range(1, n_copies + 1)),
         spf_levels=tuple(range(1, n_spf + 1)),
-        scores=scores,
+        scores=counts / n_k,
         accuracy=accuracy,
         labels=rng.integers(0, classes, size=batch).astype(np.int64),
-        class_neuron_counts=rng.integers(1, 9, size=classes).astype(np.int64),
+        class_neuron_counts=n_k,
         cores=(np.arange(n_copies, dtype=np.int64) + 1) * 4,
         seed=None if seed % 2 else seed,
         repeats=repeats,
@@ -156,6 +161,7 @@ def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
         assert original.dtype == roundtripped.dtype
         assert original.shape == roundtripped.shape
         assert original.tobytes() == roundtripped.tobytes()
+    assert np.array_equal(decoded.class_counts(), result.class_counts())
     if with_counters:
         assert decoded.spike_counters.tobytes() == spike_counters.tobytes()
     else:
@@ -167,6 +173,129 @@ def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
     assert decoded.repeats == result.repeats
 
 
+def _counts_result(counts, n_k=(1, 1)):
+    """A one-repeat, one-level result over ``counts`` of shape (batch, classes)."""
+    counts = np.asarray(counts, dtype=np.int64).reshape((1, 1, 1) + np.shape(counts))
+    n_k = np.asarray(n_k, dtype=np.int64)
+    return EvalResult(
+        backend="chip",
+        copy_levels=(1,),
+        spf_levels=(1,),
+        scores=counts / n_k,
+        accuracy=np.zeros((1, 1, 1)),
+        labels=np.zeros(counts.shape[3], dtype=np.int64),
+        class_neuron_counts=n_k,
+        cores=np.array([4], dtype=np.int64),
+        seed=0,
+        repeats=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "peak, dtype",
+    [
+        (0, "int16"),
+        (2**15 - 1, "int16"),
+        (2**15, "int32"),
+        (2**31 - 1, "int32"),
+        (2**31, "int64"),
+    ],
+)
+def test_counts_travel_in_the_narrowest_integer_dtype(peak, dtype):
+    payload = encode_result(_counts_result([[0, peak]]))
+    assert payload["counts"]["dtype"] == dtype
+    assert "scores" not in payload
+    decoded = decode_result(json.loads(json.dumps(payload)))
+    assert decoded.class_counts().tolist() == [[[[[0, peak]]]]]
+    assert decoded.scores.dtype == np.float64
+
+
+def test_scores_that_are_not_exact_class_means_are_refused_at_encode():
+    """Scores that ``counts / n_k`` would not rebuild bit for bit (a float
+    sum of per-frame means can be off in the last bit) are a server fault:
+    a plain ``ValueError`` (500), never a ``CodecError`` (400)."""
+    exact = _counts_result([[3, 0]], n_k=(3, 1))
+    off_by_one_ulp = np.nextafter(exact.scores, 2.0)
+    cases = [
+        replace(exact, scores=off_by_one_ulp),  # a last-bit difference
+        replace(exact, scores=exact.scores + 0.25),  # not a multiple of 1/n_k
+        replace(exact, scores=-exact.scores),  # negative counts
+        replace(exact, scores=exact.scores.astype(np.float32)),  # not float64
+        replace(exact, class_neuron_counts=np.array([0, 1])),  # n_k below 1
+    ]
+    for bad in cases:
+        with pytest.raises(ValueError) as excinfo:
+            encode_result(bad)
+        assert not isinstance(excinfo.value, CodecError)
+    assert encode_result(exact)["counts"]["dtype"] == "int16"
+
+
+def _payload(**changes):
+    """A valid result payload (repeats=1, copies (1, 2), spf (1,), batch 3,
+    two classes) with ``changes`` applied to its fields."""
+    counts = np.arange(12, dtype=np.int64).reshape(1, 2, 1, 3, 2)
+    n_k = np.array([2, 3], dtype=np.int64)
+    payload = encode_result(
+        EvalResult(
+            backend="chip",
+            copy_levels=(1, 2),
+            spf_levels=(1,),
+            scores=counts / n_k,
+            accuracy=np.zeros((1, 2, 1)),
+            labels=np.array([0, 1, 0], dtype=np.int64),
+            class_neuron_counts=n_k,
+            cores=np.array([4, 8], dtype=np.int64),
+            seed=0,
+            repeats=1,
+        )
+    )
+    payload.update(changes)
+    return json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"accuracy": encode_array(np.zeros(5))}, "accuracy"),
+        ({"labels": encode_array(np.zeros(7, dtype=np.int64))}, "counts"),
+        ({"cores": encode_array(np.array([4], dtype=np.int64))}, "cores"),
+        (
+            {"class_neuron_counts": encode_array(np.zeros(2, dtype=np.int64))},
+            "class_neuron_counts",
+        ),
+        ({"repeats": 9}, "counts"),
+        ({"copy_levels": [1, 2, 4]}, "counts"),
+        ({"spf_levels": [1, 2]}, "counts"),
+        (
+            {"counts": encode_array(-np.ones((1, 2, 1, 3, 2), dtype=np.int64))},
+            "counts",
+        ),
+        ({"counts": encode_array(np.zeros((1, 2, 1, 3, 2)))}, "counts"),
+        (
+            {"class_neuron_counts": encode_array(np.array([2.0, 3.0]))},
+            "class_neuron_counts",
+        ),
+        ({"labels": encode_array(np.zeros((3, 1), dtype=np.int64))}, "labels"),
+        (
+            {"spike_counters": encode_array(np.zeros((1, 2, 4, 7), dtype=np.int64))},
+            "spike_counters",
+        ),
+        (
+            {"spike_counters": encode_array(np.zeros((1, 1, 4, 3), dtype=np.int64))},
+            "spike_counters",
+        ),
+    ],
+)
+def test_self_contradicting_result_is_rejected(changes, field):
+    decode_result(_payload())  # the unchanged payload decodes
+    counters = encode_array(np.zeros((1, 2, 4, 3), dtype=np.int64))
+    decoded = decode_result(_payload(spike_counters=counters))
+    assert decoded.spike_counters.shape == (1, 2, 4, 3)
+    with pytest.raises(CodecError) as excinfo:
+        decode_result(_payload(**changes))
+    assert excinfo.value.field == field
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     shape=st.one_of(
@@ -174,7 +303,7 @@ def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
         st.just([3, 0, 2]),  # zero-size
         st.lists(st.integers(0, 4), min_size=0, max_size=3),
     ),
-    dtype=st.sampled_from([">f8", "<f8", ">i8", "<i8", "bool"]),
+    dtype=st.sampled_from([">f8", "<f8", ">i8", "<i8", "<i4", ">i2", "bool"]),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_array_roundtrip_any_shape_and_dtype(shape, dtype, seed):
@@ -184,8 +313,10 @@ def test_array_roundtrip_any_shape_and_dtype(shape, dtype, seed):
         # A NaN payload (``repr`` text would drop it) and a signed zero.
         specials = np.array([0x7FF80000DEADBEEF, 1 << 63], dtype=np.uint64)
         array.reshape(-1)[:2] = specials.view(np.float64)[: array.size]
-    elif dtype.endswith("i8"):
-        array = rng.integers(-(2**40), 2**40, size=shape).astype(dtype)
+    elif "i" in dtype:
+        info = np.iinfo(dtype)
+        values = rng.integers(info.min, info.max, size=shape, endpoint=True)
+        array = values.astype(dtype)
     else:
         array = rng.random(shape) < 0.5
     decoded = decode_array(json.loads(json.dumps(encode_array(array))))
@@ -296,19 +427,7 @@ def test_array_shape_data_mismatch_rejected():
 
 
 def test_result_missing_field_rejected():
-    result = EvalResult(
-        backend="vectorized",
-        copy_levels=(1,),
-        spf_levels=(1,),
-        scores=np.zeros((1, 1, 1, 2, 2)),
-        accuracy=np.zeros((1, 1, 1)),
-        labels=np.zeros(2, dtype=np.int64),
-        class_neuron_counts=np.ones(2, dtype=np.int64),
-        cores=np.array([4], dtype=np.int64),
-        seed=0,
-        repeats=1,
-    )
-    payload = encode_result(result)
-    payload.pop("scores")
+    payload = encode_result(_counts_result([[0, 0], [0, 0]]))
+    payload.pop("counts")
     with pytest.raises(CodecError, match="missing fields"):
         decode_result(payload)

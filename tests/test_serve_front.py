@@ -16,7 +16,9 @@ The front tier's promises, each pinned here:
   backend connection, while replica answers (404s, 429s) pass through
   byte for byte, headers included;
 * a replica that hangs up mid-answer is failed over and ejected like a
-  dead socket, and a client pointed straight at it falls back.
+  dead socket, and a client pointed straight at it falls back;
+* a draining replica (``/healthz`` status ``shutting-down``, 503 on every
+  evaluation) stays out of the ring until it reports ``ok`` again.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.serve import (
     ServiceUnavailableError,
 )
 from repro.serve.front import (
+    FleetUnavailableError,
     FrontConfig,
     FrontServer,
     FrontService,
@@ -559,11 +562,26 @@ class _TornHandler(BaseHTTPRequestHandler):
         self._answer(b'{"result": ', 1000)
 
 
+class _DrainingHandler(_TornHandler):
+    """GETs as :class:`_TornHandler`; every ``POST`` answers the 503 of a
+    replica inside ``EvalServer.close()``."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        error = {"error": {"type": "shutting-down", "message": "draining"}}
+        body = json.dumps(error).encode("utf-8")
+        self.send_response(503)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
 class _TornReplica(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, canned):
-        super().__init__(("127.0.0.1", 0), _TornHandler)
+    def __init__(self, canned, handler=_TornHandler):
+        super().__init__(("127.0.0.1", 0), handler)
         self.canned = canned
         self.port = self.server_address[1]
         self.name = f"127.0.0.1:{self.port}"
@@ -649,3 +667,32 @@ def test_torn_probe_answer_is_a_failed_poll(torn_home):
     service = FrontService(FrontConfig(replicas=(torn.name,), eject_after=1))
     service.refresh()
     assert service.health()["healthy"] == 0
+
+
+def test_draining_replica_is_not_rejoined_by_the_poller():
+    """A 503 ejects a draining replica; the poll must not put it back.
+
+    Its ``/healthz`` still answers 200, so a poller that only checked for
+    an answer rejoined it on every poll of the drain, and each request for
+    its models paid a wasted round trip before failing over.
+    """
+    draining = _TornReplica(
+        {"/healthz": {"status": "shutting-down"}}, handler=_DrainingHandler
+    )
+    try:
+        service = FrontService(FrontConfig(replicas=(draining.name,)))
+        with pytest.raises(FleetUnavailableError):
+            service.evaluate({"model": "tea", "seed": 0})
+        (view,) = service.fleet()["replicas"]
+        assert not view["healthy"] and view["ejections"] == 1
+        service.refresh()
+        (view,) = service.fleet()["replicas"]
+        assert not view["healthy"] and view["rejoins"] == 0
+        assert service.health()["healthy"] == 0
+        # Once it reports ok again, the next poll rejoins it.
+        draining.canned = {"/healthz": {"status": "ok"}}
+        service.refresh()
+        (view,) = service.fleet()["replicas"]
+        assert view["healthy"] and view["rejoins"] == 1
+    finally:
+        draining.close()

@@ -14,6 +14,7 @@ import os
 import signal
 import socket
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,39 @@ def test_served_result_bit_identical_to_direct_session(registry, client):
     assert np.array_equal(served.accuracy, direct.accuracy)
     assert np.array_equal(served.labels, direct.labels)
     assert np.array_equal(served.class_counts(), direct.class_counts())
+
+
+@pytest.mark.parametrize(
+    "backend, options",
+    [
+        ("vectorized", {}),
+        ("reference", {}),
+        ("chip", {"collect_spike_counters": True}),
+        ("board", {"link_delay": 1}),
+    ],
+)
+def test_served_result_equals_direct_field_by_field(registry, client, backend, options):
+    """Every field of a served result, dtypes included, is the direct one:
+    the wire sends counts and the client rebuilds ``counts / n_k``."""
+    grid = dict(copy_levels=(1, 2), spf_levels=(1, 3), repeats=2, seed=17)
+    served = client.evaluate(
+        model="tea", backend=backend, max_samples=12, **grid, **options
+    )
+    direct = Session(backend=backend, cache=ScoreCache()).evaluate(
+        _direct(registry, max_samples=12, **grid, **options)
+    )
+    for name in ("backend", "copy_levels", "spf_levels", "seed", "repeats"):
+        assert getattr(served, name) == getattr(direct, name), name
+    arrays = ["scores", "accuracy", "labels", "class_neuron_counts", "cores"]
+    if direct.spike_counters is None:
+        assert served.spike_counters is None
+    else:
+        arrays.append("spike_counters")
+    for name in arrays:
+        mine, theirs = getattr(served, name), getattr(direct, name)
+        assert mine.dtype == theirs.dtype, name
+        assert mine.shape == theirs.shape, name
+        assert mine.tobytes() == theirs.tobytes(), name
 
 
 def test_served_chip_request_bit_identical_including_counters(registry, client):
@@ -277,6 +311,30 @@ def test_unknown_route_is_a_404(client):
     with pytest.raises(ServeError) as excinfo:
         client._call("GET", "/v2/evaluate")
     assert excinfo.value.status == 404
+
+
+def test_result_the_wire_cannot_rebuild_is_a_500(client):
+    """Scores one ulp off ``counts / n_k`` would decode to other bits: the
+    replica answers a typed 500, not a 400 and not a dropped socket."""
+    from repro.api import VectorizedBackend, register_backend
+    from repro.api import backends as backends_module
+
+    class OffByOneUlp(VectorizedBackend):
+        name = "off-by-one-ulp-test-backend"
+
+        def evaluate(self, request):
+            result = super().evaluate(request)
+            return replace(result, scores=np.nextafter(result.scores, np.inf))
+
+    register_backend(OffByOneUlp.name, OffByOneUlp)
+    try:
+        with pytest.raises(ServeError) as excinfo:
+            client.evaluate(model="tea", backend=OffByOneUlp.name, seed=3)
+    finally:
+        del backends_module._REGISTRY[OffByOneUlp.name]
+    assert excinfo.value.status == 500
+    assert excinfo.value.error_type == "internal-error"
+    assert "bit for bit" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
