@@ -23,7 +23,7 @@ them after an intentional perf change::
     PYTHONPATH=src python benchmarks/bench_chip_engine.py --quick \
         --grid --board --output BENCH_chip.json
     PYTHONPATH=src python benchmarks/bench_chip_engine.py --quick \
-        --testbench 5 --output BENCH_chip_tb5.json
+        --testbench 5 --board --output BENCH_chip_tb5.json
     PYTHONPATH=src python benchmarks/check_bench_regression.py \
         --pair BENCH_eval.json benchmarks/baselines/BENCH_eval.json \
         --pair BENCH_chip.json benchmarks/baselines/BENCH_chip.json \

@@ -279,13 +279,17 @@ class VectorizedBackend:
         _check_capabilities(request, self.capabilities())
         evaluation = request.evaluation_dataset()
         runner = self._runner(request)
+        network = build_corelets(request.model)
         cache_hits_before = runner.cache.hits
         tensors = runner.cumulative_scores(
-            request.model, evaluation, rng=request.seed, workers=self.workers
+            request.model,
+            evaluation,
+            rng=request.seed,
+            corelet_network=network,
+            workers=self.workers,
         )
         if runner.cache.hits == cache_hits_before:
             self.passes += 1
-        network = build_corelets(request.model)
         return _result_from_cumulative(
             request,
             self.name,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erf  # type: ignore[import-untyped]
 
 
 def synaptic_variance(probabilities: np.ndarray, synaptic_values: np.ndarray) -> np.ndarray:
@@ -106,6 +105,9 @@ def firing_probability(mean: float, std: float, threshold: float = 0.0) -> float
     Uses the Gaussian approximation of ``y'`` justified by the central limit
     theorem.  When ``std`` is zero the result degenerates to a step function.
     """
+    # Imported here so that importing repro does not load scipy.
+    from scipy.special import erf  # type: ignore[import-untyped]
+
     if std < 0:
         raise ValueError(f"std must be non-negative, got {std}")
     if std == 0.0:

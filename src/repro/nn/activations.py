@@ -21,7 +21,6 @@ import math
 from typing import Dict, Type
 
 import numpy as np
-from scipy.special import erf  # type: ignore[import-untyped]
 
 
 class Activation:
@@ -118,6 +117,10 @@ class TrueNorthErf(Activation):
         self.sigma = float(sigma)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # Imported here so that processes that never train (the serve
+        # front) do not load scipy.
+        from scipy.special import erf  # type: ignore[import-untyped]
+
         return 0.5 * (1.0 + erf(x / (math.sqrt(2.0) * self.sigma)))
 
     def backward(self, x: np.ndarray) -> np.ndarray:

@@ -48,9 +48,20 @@ class Sequential:
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate through all layers; returns dL/d(input)."""
+        """Backpropagate down to the lowest layer that has parameters.
+
+        Fills every parameter gradient and returns dL/d(input) of that lowest
+        parametrized layer.  The layers below it have nothing to train, so
+        they are skipped: every test-bench network starts with a ``Gather``,
+        whose backward would scatter a gradient into the input pixels that
+        nothing reads.  A network without parameters returns ``grad_output``.
+        """
+        lowest = next(
+            (i for i, layer in enumerate(self.layers) if layer.params()),
+            len(self.layers),
+        )
         grad = grad_output
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[lowest:]):
             grad = layer.backward(grad)
         return grad
 

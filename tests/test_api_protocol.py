@@ -187,6 +187,33 @@ def test_result_accessors_and_class_counts(trained):
     assert np.all(np.diff(counts, axis=2) >= 0)
 
 
+def test_vectorized_grid_builds_the_corelet_network_once(trained, monkeypatch):
+    """The backend builds the network and hands it to the runner, which
+    would otherwise build it a second time."""
+    from repro.api import backends as backends_module
+    from repro.eval import runner as runner_module
+    from repro.eval.runner import ScoreCache
+
+    build = backends_module.build_corelets
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return build(model)
+
+    monkeypatch.setattr(backends_module, "build_corelets", counting)
+    monkeypatch.setattr(runner_module, "build_corelets", counting)
+    model, dataset = trained
+    backend = VectorizedBackend(cache=ScoreCache())
+    backend.evaluate(
+        EvalRequest(
+            model=model, dataset=dataset, copy_levels=(1, 2), spf_levels=(1, 2), seed=0
+        )
+    )
+    assert backend.passes == 1
+    assert calls == [model]
+
+
 def test_class_counts_validates_shapes_with_typed_errors(trained):
     """Mismatched tensors raise ResultShapeError, never broadcast silently."""
     from dataclasses import replace

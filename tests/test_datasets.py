@@ -1,11 +1,19 @@
 """Tests for the dataset containers and the synthetic MNIST / RS130 generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.datasets.base import Dataset, DatasetSplits, iterate_minibatches, train_test_split
 from repro.datasets.registry import DATASET_REGISTRY, dataset_summary, load_dataset
-from repro.datasets.synthetic_mnist import SyntheticMnistConfig, generate_synthetic_mnist
+from repro.datasets.synthetic_mnist import (
+    _DIGIT_STROKES,
+    IMAGE_SIZE,
+    SyntheticMnistConfig,
+    _rasterize_strokes,
+    generate_synthetic_mnist,
+)
 from repro.datasets.synthetic_rs130 import (
     FEATURE_COUNT,
     SyntheticRs130Config,
@@ -111,6 +119,94 @@ def test_synthetic_mnist_config_validation():
         SyntheticMnistConfig(sharpness=0.0)
     with pytest.raises(ValueError):
         SyntheticMnistConfig(scale_range=(1.2, 0.8))
+
+
+def _rasterize_strokes_per_point(strokes, shift, rotation, scale, thickness):
+    """The per-point splat loop that ``_rasterize_strokes`` replaced: the oracle."""
+    size = IMAGE_SIZE
+    image = np.zeros((size, size))
+    yy, xx = np.mgrid[0:size, 0:size]
+    cos_r, sin_r = np.cos(rotation), np.sin(rotation)
+    center = (size - 1) / 2.0
+    for stroke in strokes:
+        points = np.asarray(stroke, dtype=float) * (size - 1)
+        points = (points - center) * scale
+        rotated = np.empty_like(points)
+        rotated[:, 0] = cos_r * points[:, 0] - sin_r * points[:, 1]
+        rotated[:, 1] = sin_r * points[:, 0] + cos_r * points[:, 1]
+        points = rotated + center + np.asarray(shift)
+        for start, end in zip(points[:-1], points[1:]):
+            length = float(np.hypot(*(end - start)))
+            steps = max(2, int(length * 2))
+            for t in np.linspace(0.0, 1.0, steps):
+                px, py = start + t * (end - start)
+                dist_sq = (xx - px) ** 2 + (yy - py) ** 2
+                splat = np.exp(-dist_sq / (2.0 * thickness**2))
+                image = np.maximum(image, splat)
+    return image
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rasterizer_is_bit_identical_to_the_per_point_loop(seed):
+    # Shifts up to 80 px put splats on the canvas, off it, at distances whose
+    # Gaussian is subnormal, and where it underflows to 0.  Rotations reach
+    # +-max_rotation and thickness both ends of the range _render_sample draws.
+    config = SyntheticMnistConfig()
+    rng = np.random.default_rng(seed)
+    thin, thick = config.thickness * 0.85, config.thickness * 1.2
+    jitter = config.vertex_jitter
+    for template in _DIGIT_STROKES.values():
+        strokes = [
+            [
+                (x + rng.uniform(-jitter, jitter), y + rng.uniform(-jitter, jitter))
+                for x, y in line
+            ]
+            for line in template
+        ]
+        in_range = (
+            tuple(rng.uniform(-config.max_shift, config.max_shift, size=2)),
+            rng.uniform(-config.max_rotation, config.max_rotation),
+            rng.uniform(thin, thick),
+        )
+        for shift, rotation, thickness in (
+            in_range,
+            (tuple(rng.uniform(-20.0, 20.0, size=2)), config.max_rotation, thin),
+            (tuple(rng.uniform(-80.0, 80.0, size=2)), -config.max_rotation, thick),
+        ):
+            scale = rng.uniform(*config.scale_range)
+            args = (strokes, shift, rotation, scale, thickness)
+            got = _rasterize_strokes(*args)
+            want = _rasterize_strokes_per_point(*args)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+#: sha256 over (train features, train labels, test features, test labels) of
+#: whole splits, as the per-point rasterizer generated them.  The goldens and
+#: the end-to-end benchmark's canaries depend on these pixels.
+_SPLIT_DIGESTS = {
+    (30, 20, 0): "d17eb2c043b4fdee066a2c3b0f46ba621a814c701f21140db90a6f86edffe0f6",
+    (30, 20, 1): "2ab58ed34f2faf7c23b5006e67e35cf1791fc270c61e314ee92d4dddab5b3355",
+    (30, 20, 7): "b3f1d81c3f96a2fc9ab2f218879b6778a9d2030e6ff6a8c23d46bfc05c97fb01",
+    (30, 20, 42): "6c1551c634254be0d39ca6fce6b6c4b96fda54ac87ee47799565e300ba292444",
+    (200, 250, 0): "ec4488b488fc039305395c80a7446cd25cd78c0150c2dead2fe255866b1f9025",
+    (200, 250, 1): "695b3af7e49670d2297bfea275bf88da9f7c2d5263f4f5f75fc45dc75d0c012b",
+    (200, 250, 7): "22717639493529cb3750bd6761a16bb2c1b87787055a6d34407d5fce4714708a",
+    (200, 250, 42): "90fbdb9b7af1c1e63b0d9e2d56d552e7dce19261d2543acb6a728964eb75855c",
+}
+
+
+@pytest.mark.parametrize("train_size, test_size, seed", sorted(_SPLIT_DIGESTS))
+def test_synthetic_mnist_split_bytes_are_pinned(train_size, test_size, seed):
+    config = SyntheticMnistConfig(train_size=train_size, test_size=test_size, seed=seed)
+    splits = generate_synthetic_mnist(config)
+    digest = hashlib.sha256()
+    for dataset in (splits.train, splits.test):
+        assert dataset.features.dtype == np.float64
+        assert dataset.labels.dtype == np.int64
+        digest.update(dataset.features.tobytes())
+        digest.update(dataset.labels.tobytes())
+    assert digest.hexdigest() == _SPLIT_DIGESTS[(train_size, test_size, seed)]
 
 
 # --------------------------------------------------------------- RS130 stand-in

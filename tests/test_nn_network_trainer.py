@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.experiments.testbenches import TEST_BENCHES, build_testbench_architecture
 from repro.nn.activations import Sigmoid
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, Gather
 from repro.nn.network import Sequential
 from repro.nn.optim import Adam
 from repro.nn.regularizers import NullRegularizer
@@ -50,6 +51,33 @@ def test_load_state_dict_validation():
 def test_output_dim_requires_layers():
     with pytest.raises(ValueError):
         Sequential([]).output_dim
+
+
+@pytest.mark.parametrize("bench", [1, 5])
+def test_training_step_never_backpropagates_into_the_input_gather(bench, monkeypatch):
+    # Every test-bench network starts with a Gather, which has no parameters:
+    # its scatter into the input pixels would be read by nothing.
+    def refuse(self, grad_output):
+        raise AssertionError("Gather.backward was called")
+
+    monkeypatch.setattr(Gather, "backward", refuse)
+    architecture = build_testbench_architecture(TEST_BENCHES[bench])
+    network = architecture.build_network(rng=0)
+    assert isinstance(network.layers[0], Gather)
+    rng = np.random.default_rng(bench)
+    inputs = rng.random((8, architecture.input_dim))
+    labels = rng.integers(0, architecture.num_classes, size=8)
+    trainer = Trainer(network, optimizer=Adam(learning_rate=0.05))
+    before = network.state_dict()
+    trainer.train_batch(inputs, labels)
+    assert any(
+        not np.array_equal(before[name], array)
+        for name, array in network.params().items()
+    )
+    # What backward returns: the gradient at the lowest parametrized layer's
+    # input, i.e. at the Gather's output.
+    grad = network.backward(np.ones((8, architecture.num_classes)))
+    assert grad.shape == (8, network.layers[0].output_dim)
 
 
 def test_trainer_learns_simple_problem():

@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -633,6 +635,20 @@ def test_cli_refuses_to_start_on_an_invalid_cache_bound(tmp_path, capsys):
     argv = ["--port", "0", "--cache-dir", str(tmp_path), "--cache-max-bytes", "0"]
     assert main(argv) == 2
     assert "cache_max_bytes must be positive" in capsys.readouterr().err
+
+
+def test_serve_cli_import_does_not_load_scipy():
+    """scipy is loaded only to train; a front never trains."""
+    script = "import sys, repro.serve.__main__; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_client_retry_honours_retry_after_hint(registry):
