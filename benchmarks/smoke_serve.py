@@ -28,12 +28,12 @@ one ``cache_dir`` behind one front router (:mod:`repro.serve.front`).  A
 warm wave routes through the front (bit-identical to direct
 ``Session.evaluate``), then the hosted model's home replica is killed in
 the middle of a concurrent burst — which must be absorbed by
-deterministic failover with **zero** client-visible 5xx — then the victim
-restarts on its old port, rejoins the ring, and the repeated burst must
-cost zero fresh engine passes fleet-wide.  Throughout, the front's
-aggregated ``/metrics`` must conserve: ``received == admitted + rejected``
-fleet-wide, and the front's own ``received == routed + shed +
-unavailable``.
+deterministic failover with **zero** client-visible 5xx and exactly one
+ejection — then the victim restarts on its old port, rejoins the ring,
+and the repeated burst must cost zero fresh engine passes fleet-wide.
+Throughout, the front's aggregated ``/metrics`` must conserve:
+``received == admitted + rejected`` fleet-wide, and the front's own
+``received == routed + shed + unavailable``.
 
 Usage::
 
@@ -688,6 +688,13 @@ def run_fleet_soak(registry, args, failures):
             record["ejections"] = sum(
                 entry["ejections"] for entry in client.fleet()["replicas"]
             )
+            # One kill, one ejection: a stale kept-alive connection to the
+            # victim, counted as a dead replica, ejects it a second time.
+            if record["ejections"] != 1:
+                failures.append(
+                    f"fleet: {record['ejections']} ejections for one replica "
+                    "kill, expected exactly 1"
+                )
         finally:
             front.close()
             for replica in replicas:

@@ -23,8 +23,10 @@ front of the :mod:`repro.api` serving facade.
   introspection.
 * :class:`ServeClient` — the stdlib client (:mod:`repro.serve.client`)
   returning bit-identical :class:`~repro.api.EvalResult` objects and typed
-  errors, with decorrelated-jitter 429 retries and base-URL failover.
-* :mod:`repro.serve.codec` — the strict JSON wire protocol.
+  errors, with decorrelated-jitter 429 retries and base-URL failover, over
+  kept-alive HTTP/1.1 connections.
+* :mod:`repro.serve.codec` — the strict wire protocol: JSON requests, and
+  results as binary frames of raw array bytes.
 
 Start a server (or ``python -m repro.serve`` / the ``repro-serve`` console
 script from the command line)::

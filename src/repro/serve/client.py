@@ -14,19 +14,136 @@ Typed failures:
 * :class:`RequestRejectedError` — 400/404 validation and lookup failures;
 * :class:`ServiceUnavailableError` — 503 shutdown / connection refused;
 * :class:`ServeError` — anything else (500, 504, malformed responses).
+
+:class:`ConnectionPool` keeps HTTP/1.1 connections alive between calls;
+the client and the front router (:mod:`repro.serve.front`) make every
+call through one.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
+from http.client import HTTPConnection, HTTPException, HTTPMessage
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import EvalResult, UnsupportedRequestError
-from repro.serve.codec import CodecError, decode_result
+from repro.serve.codec import RESULT_CONTENT_TYPE, CodecError, decode_result
 from repro.utils.rng import RngLike, new_rng
+
+#: ``(status, headers, body)`` of one HTTP exchange.
+Exchange = Tuple[int, HTTPMessage, bytes]
+
+#: ``(host, port)`` of one service.
+Target = Tuple[str, int]
+
+
+class ConnectionPool:
+    """Idle kept-alive HTTP/1.1 connections, per ``(host, port)`` target.
+
+    :meth:`request` makes one exchange on an idle connection when there is
+    one, else on a new one.  The connection goes back to the pool only
+    after its response was read in full and did not ask to close.
+
+    A reused connection that raises a ``ConnectionError`` (this includes
+    ``http.client.RemoteDisconnected``) before the answer's status line is
+    *stale*: the server closed it while it sat idle, because it restarted
+    or the connection idled past the server's timeout.  The pool then
+    drops every idle connection to that target, which are as old, and
+    retries once on a new connection; evaluation is deterministic for a
+    given request, so one retry is safe.  A timeout is never retried, and
+    a failure on a new connection propagates: that is the caller's
+    transport failure.
+
+    Safe to share across threads: a connection in use is out of the pool.
+    """
+
+    def __init__(self) -> None:
+        self._idle: Dict[Target, List[HTTPConnection]] = {}  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
+        self._lock = threading.Lock()
+
+    def request(
+        self,
+        host: str,
+        port: int,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        timeout: float,
+    ) -> Exchange:
+        """One exchange with ``host:port``; a JSON ``body`` when given.
+
+        Raises what ``http.client`` raises: ``OSError`` when the target is
+        unreachable or times out, ``HTTPException`` when the answer is
+        torn off.
+        """
+        target = (host, port)
+        with self._lock:
+            idle = self._idle.get(target)
+            connection = idle.pop() if idle else None
+        if connection is not None:
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout)
+            answer = self._exchange(target, connection, method, path, body, reused=True)
+            if answer is not None:
+                return answer
+            self.drop(host, port)
+        connection = HTTPConnection(host, port, timeout=timeout)
+        answer = self._exchange(target, connection, method, path, body, reused=False)
+        assert answer is not None  # only a reused connection is stale
+        return answer
+
+    def _exchange(
+        self,
+        target: Target,
+        connection: HTTPConnection,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        reused: bool,
+    ) -> Optional[Exchange]:
+        """Send, read the whole answer; ``None`` when ``reused`` was stale."""
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        try:
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if reused:
+                    connection.close()
+                    return None
+                raise
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        with self._lock:
+            keep = not (response.will_close or self._closed)
+            if keep:
+                self._idle.setdefault(target, []).append(connection)
+        if not keep:
+            connection.close()
+        return response.status, response.msg, data
+
+    def drop(self, host: str, port: int) -> None:
+        """Close every idle connection to ``host:port``."""
+        with self._lock:
+            idle = self._idle.pop((host, port), [])
+        for connection in idle:
+            connection.close()
+
+    def close(self) -> None:
+        """Close every idle connection; later check-ins close too."""
+        with self._lock:
+            self._closed = True
+            idle = [
+                connection for pooled in self._idle.values() for connection in pooled
+            ]
+            self._idle.clear()
+        for connection in idle:
+            connection.close()
 
 
 class ServeError(RuntimeError):
@@ -62,7 +179,12 @@ class ServiceUnavailableError(ServeError):
 
 
 class ServeClient:
-    """Minimal blocking client; one HTTP connection per call.
+    """Minimal blocking client over kept-alive HTTP/1.1 connections.
+
+    Every call goes through one :class:`ConnectionPool`, so calls to one
+    target reuse a warm connection instead of opening one each.  The
+    client is safe to share across threads; :meth:`close` (or leaving a
+    ``with`` block) closes its idle connections.
 
     Args:
         host / port: service address (the preferred target).
@@ -73,7 +195,8 @@ class ServeClient:
         fallbacks: additional ``(host, port)`` base URLs tried in order
             when the preferred target is unreachable (connection refused /
             reset / socket timeout / an answer torn off mid-read — *not*
-            HTTP-level failures, which are real answers).  A target that
+            HTTP-level failures, which are real answers, and not a stale
+            kept-alive connection, which the pool retries).  A target that
             answers is promoted and stays preferred until it too fails, so
             a client pointed at a front router plus its replicas rides out
             a router restart without hammering dead sockets on every call.
@@ -93,6 +216,17 @@ class ServeClient:
         for fallback_host, fallback_port in fallbacks:
             self._targets.append((str(fallback_host), int(fallback_port)))
         self._targets_lock = threading.Lock()
+        self._pool = ConnectionPool()
+
+    def close(self) -> None:
+        """Close the idle connections; later calls keep none open."""
+        self._pool.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # endpoints
@@ -133,13 +267,19 @@ class ServeClient:
 
     def evaluate_payload(self, payload: Dict[str, object]) -> EvalResult:
         """``POST /v1/evaluate`` with a raw wire payload."""
-        body = self._call("POST", "/v1/evaluate", payload)
-        if "result" not in body:
-            raise ServeError("response is missing the 'result' field")
+        status, headers, body = self._http("POST", "/v1/evaluate", payload)
+        if status != 200:
+            raise self._error_for(status, headers, self._json(body))
+        content_type = headers.get("Content-Type")
+        if content_type != RESULT_CONTENT_TYPE:
+            raise ServeError(
+                f"a 200 answer must be a result frame, got {content_type!r}",
+                status=200,
+            )
         try:
-            return decode_result(body["result"])
+            return decode_result(body)
         except CodecError as error:
-            raise ServeError(f"undecodable result payload: {error}") from error
+            raise ServeError(f"undecodable result frame: {error}") from error
 
     def evaluate_with_retry(
         self,
@@ -209,7 +349,8 @@ class ServeClient:
     def _call(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
-        status, headers, body = self._http(method, path, payload)
+        status, headers, raw = self._http(method, path, payload)
+        body = self._json(raw)
         if status == 200:
             if not isinstance(body, dict):
                 raise ServeError(f"non-object 200 response: {body!r}", status=200)
@@ -218,16 +359,24 @@ class ServeClient:
 
     def _http(
         self, method: str, path: str, payload: Optional[Dict[str, object]]
-    ) -> Tuple[int, Dict[str, str], object]:
+    ) -> Exchange:
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
         with self._targets_lock:
             targets = list(self._targets)
-        last_error: Optional[BaseException] = None
         for index, (host, port) in enumerate(targets):
             try:
-                result = self._http_once(host, port, method, path, payload)
-            except ServiceUnavailableError as error:
-                last_error = error
-                continue
+                answer = self._pool.request(
+                    host, port, method, path, body, self.timeout
+                )
+            except (OSError, HTTPException) as error:
+                # HTTPException: the answer was torn off (IncompleteRead,
+                # BadStatusLine), which subclass neither OSError nor ServeError.
+                if index + 1 < len(targets):
+                    continue
+                raise ServiceUnavailableError(
+                    f"cannot reach {host}:{port}: {error}",
+                    error_type="unreachable",
+                ) from error
             if index > 0:
                 # Promote the answering fallback: later calls should not
                 # re-walk the dead prefix on every request.
@@ -235,53 +384,25 @@ class ServeClient:
                     if (host, port) in self._targets:
                         self._targets.remove((host, port))
                         self._targets.insert(0, (host, port))
-            return result
-        assert last_error is not None
-        raise last_error
+            return answer
+        raise AssertionError("a client always has a target")
 
-    def _http_once(
-        self,
-        host: str,
-        port: int,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, object]],
-    ) -> Tuple[int, Dict[str, str], object]:
-        connection = http.client.HTTPConnection(host, port, timeout=self.timeout)
+    @staticmethod
+    def _json(raw: bytes) -> object:
         try:
-            request_body = None
-            request_headers = {}
-            if payload is not None:
-                request_body = json.dumps(payload).encode("utf-8")
-                request_headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=request_body, headers=request_headers)
-            response = connection.getresponse()
-            raw = response.read()
-            headers = {name.lower(): value for name, value in response.getheaders()}
-            try:
-                body = json.loads(raw.decode("utf-8")) if raw else {}
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                body = {"raw": raw.decode("utf-8", errors="replace")}
-            return response.status, headers, body
-        except (OSError, http.client.HTTPException) as error:
-            # HTTPException: the answer was torn off (IncompleteRead,
-            # BadStatusLine), which subclass neither OSError nor ServeError.
-            raise ServiceUnavailableError(
-                f"cannot reach {host}:{port}: {error}",
-                error_type="unreachable",
-            ) from error
-        finally:
-            connection.close()
+            return json.loads(raw.decode("utf-8")) if raw else {}
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return {"raw": raw.decode("utf-8", errors="replace")}
 
     @staticmethod
     def _error_for(
-        status: int, headers: Dict[str, str], body: object
+        status: int, headers: HTTPMessage, body: object
     ) -> Exception:
         detail = body.get("error", {}) if isinstance(body, dict) else {}
         error_type = detail.get("type", "unknown")
         message = detail.get("message", f"HTTP {status}")
         if status == 429:
-            retry_after = detail.get("retry_after", headers.get("retry-after", 1))
+            retry_after = detail.get("retry_after", headers.get("Retry-After", 1))
             return ServiceOverloadedError(message, retry_after=float(retry_after))
         if error_type == "unsupported-request":
             # Parity with the in-process Session: same exception type.

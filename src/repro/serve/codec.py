@@ -1,19 +1,31 @@
-"""JSON wire codecs for the evaluation service.
+"""Wire codecs for the evaluation service.
 
-The service speaks a strict JSON protocol in front of the in-process
-:class:`~repro.api.protocol.EvalRequest` / :class:`~repro.api.protocol.EvalResult`
-types.  Two asymmetries shape the codec:
+Requests are strict JSON in front of the in-process
+:class:`~repro.api.protocol.EvalRequest`; a successful result travels as a
+binary *result frame* in front of
+:class:`~repro.api.protocol.EvalResult`.  Two asymmetries shape the codec:
 
 * A wire request cannot carry a trained model or a dataset by value, so it
   names them (``"model": "tea"``, ``"dataset": "test"``) and the server
   resolves the names against its :class:`~repro.serve.server.ModelRegistry`.
   :func:`encode_request` / :func:`decode_request` therefore round-trip the
   *wire form* losslessly, and :func:`to_eval_request` performs the resolution.
-* A wire result carries every tensor by value.  Arrays are encoded as
-  ``{"dtype", "shape", "data"}`` where ``data`` is the base64 of the
-  array's little-endian bytes in C order.  The wire carries the raw
-  IEEE-754 (and two's-complement) bytes, not ``repr`` text.  The score
-  tensor travels as what it is made of: the integer class counts, in the
+* A wire result carries every tensor by value, as raw bytes.  The body of
+  a successful ``POST /v1/evaluate`` (``Content-Type``
+  :data:`RESULT_CONTENT_TYPE`) is:
+
+  - 4 bytes, little-endian unsigned: the header length ``H``;
+  - ``H`` bytes of UTF-8 JSON header;
+  - the raw bytes of the arrays.
+
+  The header holds the scalar fields (``backend``, ``copy_levels``,
+  ``spf_levels``, ``seed``, ``repeats``) and describes each array field
+  (``counts``, ``accuracy``, ``labels``, ``class_neuron_counts``,
+  ``cores``, and ``spike_counters`` or null) as ``{"dtype", "shape"}``.
+  The arrays' little-endian C-order bytes follow in that field order, back
+  to back, and the body ends exactly after the last one: no float
+  round-trips through text, and no byte through base64.  The score tensor
+  travels as what it is made of: the integer class counts, in the
   narrowest of int16, int32 and int64 that holds the largest count, and
   the decoder rebuilds ``scores = counts / n_k``.  Every backend's scores
   are exactly that division, so a decoded :class:`EvalResult` is
@@ -24,23 +36,27 @@ types.  Two asymmetries shape the codec:
   rather than send a body that would decode to different bits.
 
 Validation is strict: unknown fields, wrong types (including ``True`` where
-an int is expected), malformed arrays (non-base64 ``data``, a byte count
-that does not fit the shape, bool bytes other than 0 and 1), and results
-that contradict themselves (a counts, accuracy, cores or spike-counter
-tensor whose shape disagrees with the declared repeats, levels, labels or
-``n_k``, negative counts, an ``n_k`` below 1) all raise
-:class:`CodecError`, which the HTTP layer maps to a typed ``400`` error
-payload.  Typed payloads (:func:`error_payload`) also cover
+an int is expected), malformed frames (a header that runs past the body or
+is not a JSON object with exactly the result fields, a dtype outside
+:data:`WIRE_DTYPES`, array byte counts that do not add up to the body
+length, bool bytes other than 0 and 1), and results that contradict
+themselves (a counts, accuracy, cores or spike-counter tensor whose shape
+disagrees with the declared repeats, levels, labels or ``n_k``, negative
+counts, an ``n_k`` below 1) all raise :class:`CodecError` naming the
+field, which the HTTP layer maps to a typed ``400`` error payload.  Typed
+payloads (:func:`error_payload`) also cover
 :class:`~repro.api.protocol.UnsupportedRequestError` (``422``), unknown
-model/dataset names (``404``), overload (``429``), and shutdown (``503``).
+model/dataset names (``404``), overload (``429``), and shutdown (``503``);
+they, and every answer other than a result, stay JSON.
 """
 
 from __future__ import annotations
 
-import base64
+import json
 import math
+import struct
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -297,63 +313,34 @@ def to_eval_request(wire: WireRequest, registry) -> EvalRequest:
 
 
 # ----------------------------------------------------------------------
-# arrays and results
+# result frames
 # ----------------------------------------------------------------------
+#: ``Content-Type`` of a result frame, the body of a successful evaluation.
+RESULT_CONTENT_TYPE = "application/vnd.repro.result"
+
 #: dtypes a wire array may carry; anything else is a protocol violation.
 WIRE_DTYPES = ("float64", "int64", "int32", "int16", "bool")
 
 #: integer dtypes a counts tensor may travel in, narrowest first.
 _COUNT_DTYPES = (np.int16, np.int32, np.int64)
 
+#: a frame header's scalar fields, and its array fields in byte order.
+_SCALAR_FIELDS = ("backend", "copy_levels", "spf_levels", "seed", "repeats")
+_ARRAY_FIELDS = (
+    "counts",
+    "accuracy",
+    "labels",
+    "class_neuron_counts",
+    "cores",
+    "spike_counters",
+)
+_RESULT_FIELDS = _SCALAR_FIELDS + _ARRAY_FIELDS
 
-def encode_array(array: np.ndarray) -> Dict[str, object]:
-    """A numpy array as ``{"dtype", "shape", "data"}``, ``data`` in base64."""
-    array = np.asarray(array)
-    if array.dtype.name not in WIRE_DTYPES:
-        raise CodecError(
-            f"array dtype {array.dtype.name!r} is not wire-encodable; "
-            f"allowed: {WIRE_DTYPES}"
-        )
-    little = array.astype(array.dtype.newbyteorder("<"), copy=False)
-    return {
-        "dtype": array.dtype.name,
-        "shape": list(array.shape),
-        "data": base64.b64encode(little.tobytes()).decode("ascii"),
-    }
+#: the frame's leading header length.
+_PREFIX = struct.Struct("<I")
 
-
-def decode_array(obj: object, field: str = "array") -> np.ndarray:
-    """Decode :func:`encode_array` output into a writable native-endian array."""
-    if not isinstance(obj, dict):
-        raise CodecError(f"{field} must be an array object", field=field)
-    missing = {"dtype", "shape", "data"} - set(obj)
-    _require(not missing, f"{field} is missing {sorted(missing)}", field)
-    name = obj["dtype"]
-    _require(name in WIRE_DTYPES, f"{field} has unknown dtype {name!r}", field)
-    shape = _int_tuple(obj["shape"], f"{field}.shape") if obj["shape"] != [] else ()
-    _require(min(shape, default=0) >= 0, f"{field}.shape dims must be >= 0", field)
-    _require(isinstance(obj["data"], str), f"{field}.data must be a string", field)
-    try:
-        raw = base64.b64decode(obj["data"], validate=True)
-    except ValueError as error:  # binascii.Error, or non-ASCII text
-        raise CodecError(f"{field}.data is not base64: {error}", field=field) from None
-    wire = np.dtype(name).newbyteorder("<")
-    expected = math.prod(shape) * wire.itemsize
-    _require(
-        len(raw) == expected,
-        f"{field}.data has {len(raw)} bytes, shape {shape} of {name} needs {expected}",
-        field,
-    )
-    # numpy reads any nonzero byte as True; a strict codec accepts only 0 and 1.
-    _require(
-        name != "bool" or max(raw, default=0) <= 1,
-        f"{field}.data bool bytes must be 0 or 1",
-        field,
-    )
-    try:
-        return np.frombuffer(raw, dtype=wire).astype(name).reshape(shape)
-    except ValueError as error:  # over 64 dims, or a zero-size shape with a huge dim
-        raise CodecError(f"{field}.shape is invalid: {error}", field=field) from None
+#: where one array of a frame lies: (wire dtype, shape, byte offset).
+ArraySpan = Tuple[np.dtype, Tuple[int, ...], int]
 
 
 def _wire_counts(result: EvalResult) -> np.ndarray:
@@ -399,83 +386,170 @@ def _wire_counts(result: EvalResult) -> np.ndarray:
     )
 
 
-def encode_result(result: EvalResult) -> Dict[str, object]:
-    """An :class:`EvalResult` as a JSON-safe payload (exact, see module doc).
+def encode_result(result: EvalResult) -> bytes:
+    """An :class:`EvalResult` as one result frame (see the module doc).
 
     Raises:
+        CodecError: when an array's dtype is not in :data:`WIRE_DTYPES`.
         ValueError: when the scores are not exact class means (see
             :func:`_wire_counts`).
     """
-    return {
+    arrays = (
+        _wire_counts(result),
+        np.asarray(result.accuracy),
+        np.asarray(result.labels, dtype=np.int64),
+        np.asarray(result.class_neuron_counts, dtype=np.int64),
+        np.asarray(result.cores, dtype=np.int64),
+        None if result.spike_counters is None else np.asarray(result.spike_counters),
+    )
+    header: Dict[str, object] = {
         "backend": result.backend,
         "copy_levels": list(result.copy_levels),
         "spf_levels": list(result.spf_levels),
-        "counts": encode_array(_wire_counts(result)),
-        "accuracy": encode_array(result.accuracy),
-        "labels": encode_array(np.asarray(result.labels, dtype=np.int64)),
-        "class_neuron_counts": encode_array(
-            np.asarray(result.class_neuron_counts, dtype=np.int64)
-        ),
-        "cores": encode_array(np.asarray(result.cores, dtype=np.int64)),
         "seed": result.seed,
         "repeats": result.repeats,
-        "spike_counters": (
-            None
-            if result.spike_counters is None
-            else encode_array(result.spike_counters)
-        ),
     }
+    chunks: List[memoryview] = []
+    for field, array in zip(_ARRAY_FIELDS, arrays):
+        if array is None:
+            header[field] = None
+            continue
+        if array.dtype.name not in WIRE_DTYPES:
+            raise CodecError(
+                f"{field} has dtype {array.dtype.name!r}, which is not "
+                f"wire-encodable; allowed: {WIRE_DTYPES}",
+                field=field,
+            )
+        header[field] = {"dtype": array.dtype.name, "shape": list(array.shape)}
+        little = array.astype(array.dtype.newbyteorder("<"), copy=False)
+        chunks.append(memoryview(np.ascontiguousarray(little)))
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join([_PREFIX.pack(len(head)), head, *chunks])
 
 
-_RESULT_FIELDS = (
-    "backend",
-    "copy_levels",
-    "spf_levels",
-    "counts",
-    "accuracy",
-    "labels",
-    "class_neuron_counts",
-    "cores",
-    "seed",
-    "repeats",
-    "spike_counters",
-)
+def _array_span(spec: object, field: str, offset: int) -> ArraySpan:
+    """Validate one header array descriptor; its span starts at ``offset``."""
+    if not isinstance(spec, dict) or set(spec) != {"dtype", "shape"}:
+        raise CodecError(
+            f"{field} must be an array descriptor with exactly 'dtype' and 'shape'",
+            field=field,
+        )
+    name = spec["dtype"]
+    _require(
+        name in WIRE_DTYPES,
+        f"{field} has unknown dtype {name!r}; allowed: {WIRE_DTYPES}",
+        field,
+    )
+    shape = () if spec["shape"] == [] else _int_tuple(spec["shape"], field)
+    _require(min(shape, default=0) >= 0, f"{field} shape dims must be >= 0", field)
+    return np.dtype(name).newbyteorder("<"), shape, offset
 
 
-def decode_result(payload: object) -> EvalResult:
-    """Decode :func:`encode_result` output back into an :class:`EvalResult`.
+def read_frame(body: bytes) -> Tuple[Dict[str, Any], Dict[str, ArraySpan]]:
+    """A result frame's header, and where each array it sends lies.
 
-    The scores are rebuilt as ``counts / n_k``: true division casts both
-    operands to float64 exactly, so dividing the narrow wire counts is
-    dividing their int64 widening, with no int64 copy in between.  Every
-    array must agree with the declared grid:
+    Checks the frame's structure and reads no array byte: the header lies
+    inside the body and is a JSON object with exactly the result fields,
+    every array has a wire dtype and a shape, and the arrays' byte counts
+    add up to the body length.  The front router checks a replica's
+    answer with this alone; :func:`decode_result` adds the checks that
+    need the values.  A null ``spike_counters`` has no span.
+    """
+    if not isinstance(body, bytes):
+        raise CodecError(
+            f"a result frame must be bytes, got {type(body).__name__}", field="body"
+        )
+    size = len(body)
+    _require(
+        size >= _PREFIX.size,
+        f"a {size}-byte body is too short for the header length",
+        "header",
+    )
+    (length,) = _PREFIX.unpack_from(body)
+    offset = _PREFIX.size + length
+    _require(
+        offset <= size,
+        f"a header of {length} bytes runs past the {size}-byte body",
+        "header",
+    )
+    try:
+        header = json.loads(body[_PREFIX.size : offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise CodecError(f"header is not valid JSON: {error}", field="header") from None
+    if not isinstance(header, dict):
+        raise CodecError(
+            f"header must be a JSON object, got {type(header).__name__}",
+            field="header",
+        )
+    unknown = sorted(set(header) - set(_RESULT_FIELDS))
+    if unknown:
+        raise CodecError(f"unknown result fields {unknown}", field=unknown[0])
+    missing = sorted(set(_RESULT_FIELDS) - set(header))
+    if missing:
+        raise CodecError(f"result is missing fields {missing}", field=missing[0])
+    spans: Dict[str, ArraySpan] = {}
+    for field in _ARRAY_FIELDS:
+        if field == "spike_counters" and header[field] is None:
+            continue
+        span = _array_span(header[field], field, offset)
+        offset += math.prod(span[1]) * span[0].itemsize
+        _require(
+            offset <= size,
+            f"{field} ends at byte {offset}, past the {size}-byte body",
+            field,
+        )
+        spans[field] = span
+    _require(
+        offset == size,
+        f"the body has {size - offset} bytes after its last array",
+        "body",
+    )
+    return header, spans
+
+
+def _frame_array(body: bytes, field: str, span: ArraySpan) -> np.ndarray:
+    """The array ``span`` locates, as a writable native-endian copy."""
+    wire, shape, offset = span
+    count = math.prod(shape)
+    # numpy reads any nonzero byte as True; a strict codec accepts only 0 and 1.
+    if wire.kind == "b" and count:
+        raw = np.frombuffer(body, dtype=np.uint8, count=count, offset=offset)
+        _require(int(raw.max()) <= 1, f"{field} bool bytes must be 0 or 1", field)
+    try:
+        flat = np.frombuffer(body, dtype=wire, count=count, offset=offset)
+        return flat.astype(wire.newbyteorder("=")).reshape(shape)
+    except ValueError as error:  # over 64 dims, or a zero-size shape with a huge dim
+        raise CodecError(f"{field} shape is invalid: {error}", field=field) from None
+
+
+def decode_result(body: bytes) -> EvalResult:
+    """Decode one :func:`encode_result` frame back into an :class:`EvalResult`.
+
+    :func:`read_frame` checks the frame's structure.  The scores are
+    rebuilt as ``counts / n_k``: true division casts both operands to
+    float64 exactly, so dividing the narrow wire counts is dividing their
+    int64 widening, with no int64 copy in between.  Every array must agree
+    with the declared grid:
     ``counts`` is ``(repeats, len(copy_levels), len(spf_levels),
     len(labels), len(class_neuron_counts))``, ``accuracy`` its first three
     axes, ``cores`` one entry per copy level, ``spike_counters`` (when
     sent) ``(repeats, max copy level, cores, len(labels))``; counts are
     non-negative and every ``n_k`` at least 1.
     """
-    if not isinstance(payload, dict):
-        raise CodecError(
-            f"result payload must be a JSON object, got {type(payload).__name__}"
-        )
-    unknown = sorted(set(payload) - set(_RESULT_FIELDS))
-    if unknown:
-        raise CodecError(f"unknown result fields {unknown}", field=unknown[0])
-    missing = sorted(set(_RESULT_FIELDS) - set(payload))
-    if missing:
-        raise CodecError(f"result is missing fields {missing}", field=missing[0])
-    _require(isinstance(payload["backend"], str), "backend must be a string", "backend")
-    seed = payload["seed"]
+    header, spans = read_frame(body)
+    _require(isinstance(header["backend"], str), "backend must be a string", "backend")
+    seed = header["seed"]
     _require(seed is None or _is_int(seed), "seed must be an integer or null", "seed")
-    _require(_is_int(payload["repeats"]), "repeats must be an integer", "repeats")
-    copy_levels = _int_tuple(payload["copy_levels"], "copy_levels")
-    spf_levels = _int_tuple(payload["spf_levels"], "spf_levels")
-    counts = decode_array(payload["counts"], "counts")
-    accuracy = decode_array(payload["accuracy"], "accuracy")
-    labels = decode_array(payload["labels"], "labels")
-    n_k = decode_array(payload["class_neuron_counts"], "class_neuron_counts")
-    cores = decode_array(payload["cores"], "cores")
+    repeats = header["repeats"]
+    _require(_is_int(repeats), "repeats must be an integer", "repeats")
+    copy_levels = _int_tuple(header["copy_levels"], "copy_levels")
+    spf_levels = _int_tuple(header["spf_levels"], "spf_levels")
+    arrays = {field: _frame_array(body, field, span) for field, span in spans.items()}
+    counts = arrays["counts"]
+    accuracy = arrays["accuracy"]
+    labels = arrays["labels"]
+    n_k = arrays["class_neuron_counts"]
+    cores = arrays["cores"]
     _require(
         counts.dtype.name in ("int16", "int32", "int64"),
         f"counts must be an integer array, got {counts.dtype.name}",
@@ -492,7 +566,7 @@ def decode_result(payload: object) -> EvalResult:
         f"class_neuron_counts must all be >= 1, got {n_k.tolist()}",
         "class_neuron_counts",
     )
-    grid = (int(payload["repeats"]), len(copy_levels), len(spf_levels))
+    grid = (repeats, len(copy_levels), len(spf_levels))
     expected = grid + (len(labels), len(n_k))
     _require(
         counts.shape == expected,
@@ -512,20 +586,19 @@ def decode_result(payload: object) -> EvalResult:
         f"({len(copy_levels)})",
         "cores",
     )
-    spike_counters = payload["spike_counters"]
+    spike_counters = arrays.get("spike_counters")
     if spike_counters is not None:
-        spike_counters = decode_array(spike_counters, "spike_counters")
         _require(
             spike_counters.ndim == 4
-            and spike_counters.shape[:2] == (grid[0], copy_levels[-1])
+            and spike_counters.shape[:2] == (repeats, copy_levels[-1])
             and spike_counters.shape[3] == len(labels),
             f"spike_counters has shape {spike_counters.shape}; expected "
-            f"(repeats, max copy level, cores, batch) = ({grid[0]}, "
+            f"(repeats, max copy level, cores, batch) = ({repeats}, "
             f"{copy_levels[-1]}, cores, {len(labels)})",
             "spike_counters",
         )
     return EvalResult(
-        backend=payload["backend"],
+        backend=header["backend"],
         copy_levels=copy_levels,
         spf_levels=spf_levels,
         scores=counts / n_k,
@@ -534,7 +607,7 @@ def decode_result(payload: object) -> EvalResult:
         class_neuron_counts=n_k,
         cores=cores,
         seed=None if seed is None else int(seed),
-        repeats=int(payload["repeats"]),
+        repeats=repeats,
         spike_counters=spike_counters,
     )
 

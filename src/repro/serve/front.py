@@ -6,8 +6,12 @@ PAPERS.md are the topology playbook): clients talk to one address, and the
 router owns placement, failover, and the fleet-wide overload decision.
 Like a spine, it forwards answers without processing them: the body a
 replica writes is the body the client reads, byte for byte.  The router
-only checks that the body parses as a JSON object, so a torn or garbled
-answer fails over instead of reaching the client.
+only checks an answer's shape — a 200 must be a result frame whose header
+parses and whose byte counts add up to the body, any other status a JSON
+object — so a torn or garbled answer fails over instead of reaching the
+client.  Its connections to the replicas, proxied requests and health
+probes alike, are kept alive in one
+:class:`~repro.serve.client.ConnectionPool`.
 
 **Consistent routing.**  Every request is routed by its *model
 fingerprint* (a content hash of the hosted model's ``/v1/models`` entry,
@@ -64,15 +68,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from http.server import ThreadingHTTPServer
-
 from repro.serve.admission import (
     LatencyWindow,
     QueueFullError,
     ServiceClosedError,
 )
-from repro.serve.codec import decode_request
-from repro.serve.handlers import FrontHandler
+from repro.serve.client import ConnectionPool
+from repro.serve.codec import RESULT_CONTENT_TYPE, decode_request, read_frame
+from repro.serve.handlers import FrontHandler, ServiceHTTPServer
 from repro.serve.ring import ReplicaRing
 
 #: ``(status, headers, body)`` of one replica answer; ``body`` is its bytes.
@@ -80,7 +83,8 @@ Answer = Tuple[int, Dict[str, str], bytes]
 
 #: What a replica call raises when the replica is unreachable (``OSError``),
 #: hangs up mid-answer (``IncompleteRead`` and ``BadStatusLine`` are
-#: ``HTTPException``, not ``OSError``) or answers non-JSON (``ValueError``).
+#: ``HTTPException``, not ``OSError``) or answers garbage (``ValueError``,
+#: which covers the codec's ``CodecError``).
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
 
 
@@ -253,6 +257,8 @@ class FrontService:
         self.latencies = LatencyWindow()
         self._stop = threading.Event()
         self._poller: Optional[threading.Thread] = None
+        #: kept-alive connections to the replicas, for proxies and probes.
+        self._pool = ConnectionPool()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -275,6 +281,7 @@ class FrontService:
         if self._poller is not None:
             self._poller.join(timeout=10.0)
             self._poller = None
+        self._pool.close()
 
     def _poll_loop(self) -> None:
         while not self._stop.wait(self.config.poll_interval):
@@ -287,21 +294,16 @@ class FrontService:
         self, state: ReplicaState, path: str, timeout: float
     ) -> Optional[Dict[str, object]]:
         """GET ``path`` from one replica; ``None`` on any failure."""
-        connection = http.client.HTTPConnection(
-            state.host, state.port, timeout=timeout
-        )
         try:
-            connection.request("GET", path)
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
+            status, _, raw = self._pool.request(
+                state.host, state.port, "GET", path, None, timeout
+            )
+            if status != 200:
                 return None
             body = json.loads(raw.decode("utf-8"))
-            return body if isinstance(body, dict) else None
         except _TRANSPORT_ERRORS:
             return None
-        finally:
-            connection.close()
+        return body if isinstance(body, dict) else None
 
     def refresh(self) -> None:
         """Probe every replica once: health, drain state, hosted models."""
@@ -347,6 +349,7 @@ class FrontService:
                 state.drain = None
         if eject:
             self.ring.remove(name)
+            self._pool.drop(state.host, state.port)
 
     def _mark_alive(
         self,
@@ -451,8 +454,10 @@ class FrontService:
         routing, never arithmetic — bit-identity is the replica's), with
         deterministic failover along the model's preference order:
 
-        * dead socket, torn or non-JSON answer, or 503 (mid-shutdown) →
-          next replica, and the failed one is ejected on the spot;
+        * dead socket, torn or garbled answer, or 503 (mid-shutdown) →
+          next replica, and the failed one is ejected on the spot (a
+          kept-alive connection the replica closed while it sat idle is
+          no failure: the pool retries it once on a new connection);
         * 429 (that one replica is saturated) → spill to the next replica
           in preference order; if every healthy replica sheds, the last
           429 passes through (its ``Retry-After`` still carries a
@@ -513,33 +518,35 @@ class FrontService:
     def _proxy_evaluate(self, state: ReplicaState, payload: object) -> Optional[Answer]:
         """POST one payload to one replica; ``None`` on transport failure.
 
-        The answer body is returned unchanged; it is parsed only to check
-        that it is a JSON object, so a garbled answer counts as a failure.
+        The answer's status, ``Content-Type``, ``Retry-After`` and body are
+        returned unchanged.  The body is checked, never decoded: a 200
+        must be a result frame whose header parses and whose byte counts
+        add up to the body, any other status a JSON object, so a garbled
+        answer counts as a failure.
         """
-        connection = http.client.HTTPConnection(
-            state.host, state.port, timeout=self.config.request_timeout
-        )
         try:
-            body = json.dumps(payload).encode("utf-8")
-            connection.request(
+            status, received, raw = self._pool.request(
+                state.host,
+                state.port,
                 "POST",
                 "/v1/evaluate",
-                body=body,
-                headers={"Content-Type": "application/json"},
+                json.dumps(payload).encode("utf-8"),
+                self.config.request_timeout,
             )
-            response = connection.getresponse()
-            raw = response.read()
-            if not isinstance(json.loads(raw), dict):
+            if status == 200:
+                if received.get("Content-Type") != RESULT_CONTENT_TYPE:
+                    return None
+                read_frame(raw)
+            elif not isinstance(json.loads(raw), dict):
                 return None
-            headers: Dict[str, str] = {}
-            retry_after = response.getheader("Retry-After")
-            if retry_after is not None:
-                headers["Retry-After"] = retry_after
-            return response.status, headers, raw
         except _TRANSPORT_ERRORS:
             return None
-        finally:
-            connection.close()
+        headers: Dict[str, str] = {}
+        for name in ("Content-Type", "Retry-After"):
+            value = received.get(name)
+            if value is not None:
+                headers[name] = value
+        return status, headers, raw
 
     # ------------------------------------------------------------------
     # introspection
@@ -734,18 +741,6 @@ def _model_keys(models_payload: Dict[str, object]) -> Dict[str, str]:
     return keys
 
 
-class _FrontHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the front service for its handlers."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 128
-
-    def __init__(self, address: Tuple[str, int], front: FrontService) -> None:
-        super().__init__(address, FrontHandler)
-        self.front = front
-
-
 class FrontServer:
     """HTTP front end over one :class:`FrontService`.
 
@@ -762,7 +757,7 @@ class FrontServer:
     def __init__(self, config: FrontConfig) -> None:
         self.config = config
         self.service = FrontService(config)
-        self._httpd: Optional[_FrontHTTPServer] = None
+        self._httpd: Optional[ServiceHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -782,8 +777,8 @@ class FrontServer:
         if self._httpd is not None:
             return self
         self.service.start()
-        self._httpd = _FrontHTTPServer(
-            (self.config.host, self.config.port), self.service
+        self._httpd = ServiceHTTPServer(
+            (self.config.host, self.config.port), FrontHandler, self.service
         )
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,

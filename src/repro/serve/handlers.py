@@ -1,12 +1,15 @@
 """HTTP request handling for the evaluation service and the front router.
 
-Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
+Two handlers share one plumbing base (:class:`_JsonHandler`) and one
+server class (:class:`ServiceHTTPServer`):
 
 :class:`ServeHandler` — one connection of a *replica*
-(:class:`~repro.serve.server.EvalServer`'s ThreadingHTTPServer).  Routes:
+(:class:`~repro.serve.server.EvalServer`).  Routes:
 
 * ``POST /v1/evaluate`` — admit one wire request, block until the worker
-  pool resolves it, answer ``200 {"result": ...}``.  Failures answer the
+  pool resolves it, answer ``200`` with a binary result frame
+  (:func:`repro.serve.codec.encode_result`, ``Content-Type``
+  :data:`~repro.serve.codec.RESULT_CONTENT_TYPE`).  Failures answer the
   typed error payloads of :func:`repro.serve.codec.error_payload`; overload
   answers ``429`` with a ``Retry-After`` header (the adaptive admission
   controller's measured-drain estimate) instead of queuing without bound,
@@ -22,25 +25,33 @@ Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
 
 * ``POST /v1/evaluate`` — fleet admission check, then consistent-routing
   proxy to the model's replica (with deterministic failover); the
-  replica's answer body is written to the client byte for byte, never
-  decoded and re-encoded, so responses stay bit-identical.
+  replica's status, ``Content-Type``, ``Retry-After`` and body are written
+  to the client byte for byte, never decoded and re-encoded, so responses
+  stay bit-identical.
 * ``GET /v1/models`` — the fleet-wide model/dataset union.
 * ``GET /v1/fleet`` — ring assignments, per-replica health, ejection
   counters: the sharding introspection surface.
 * ``GET /healthz`` / ``GET /metrics`` — front liveness and the aggregated
   fleet view (counters summed, p95 merged from per-replica windows).
 
-Everything is JSON; every response carries an exact ``Content-Length``.
-A peer that stalls mid-request is dropped after :attr:`_JsonHandler.timeout`
-seconds, and one that hangs up before its whole body arrived gets no
-answer: there is no one left to read it.
+Requests are JSON, and so is every answer but a result frame; every
+answer carries an exact ``Content-Length``.  Connections are HTTP/1.1 and
+kept alive, so one connection carries request after request; the server
+closes one whose request body was not read in full (its unread bytes
+would parse as the next request) and answers it with ``Connection:
+close``.  A peer that stalls mid-request, or sits idle between requests,
+is dropped after :attr:`_JsonHandler.timeout` seconds, and one that hangs
+up before its whole body arrived gets no answer: there is no one left to
+read it.
 """
 
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler
-from typing import TYPE_CHECKING, Dict, Optional, Union, cast
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple, Type, Union, cast
 
 from repro.serve.admission import QueueFullError, ServiceClosedError
 
@@ -48,6 +59,7 @@ if TYPE_CHECKING:
     from repro.serve.front import FrontService
     from repro.serve.server import EvalService
 from repro.serve.codec import (
+    RESULT_CONTENT_TYPE,
     CodecError,
     UnknownDatasetError,
     UnknownModelError,
@@ -58,28 +70,55 @@ from repro.serve.codec import (
 #: Largest accepted request body; a bounded queue deserves a bounded parser.
 MAX_BODY_BYTES = 1 << 20
 
+#: What a socketserver hands its handlers (a socket, for TCP servers).
+_Request = Union[socket.socket, Tuple[bytes, socket.socket]]
+
 
 class _JsonHandler(BaseHTTPRequestHandler):
-    """Shared JSON plumbing: body parsing, typed payloads, HTTP accounting.
+    """Shared plumbing: keep-alive, body parsing, typed payloads, accounting.
 
     Subclasses route requests onto the service object their server
     carries; the service only needs a ``record_http(route, status)`` hook
     for the ``/metrics`` request table.
     """
 
-    # 1.5: a result carries integer ``counts`` in place of float64
-    # ``scores``; 1.4 clients cannot decode it.
-    server_version = "repro-serve/1.5"
+    # 1.6: a successful evaluation answers a binary result frame, not
+    # base64 arrays inside JSON; 1.5 clients cannot decode it.
+    server_version = "repro-serve/1.6"
+    protocol_version = "HTTP/1.1"
+    #: Headers and body leave in two writes; with Nagle on, a kept-alive
+    #: connection holds the body for the peer's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
     #: Socket timeout (seconds) of every blocking read and write, so a
-    #: stalled peer cannot hold a handler thread.  Waiting for the worker
+    #: stalled peer cannot hold a handler thread, and of the wait for the
+    #: next request on a kept-alive connection.  Waiting for the worker
     #: pool is not socket I/O and is bounded by ``request_timeout`` instead.
     timeout = 30.0
+    #: Whether the current request declared body bytes not yet read.
+    _body_pending = False
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002 - stdlib signature
         """Silence per-request stderr logging (metrics cover it)."""
 
     def _record_http(self, route: str, status: int) -> None:
         raise NotImplementedError
+
+    def parse_request(self) -> bool:
+        """Parse the request head, unless the server is closing.
+
+        A closing server drops a request it reads on an old connection
+        unanswered; the handler then closes the connection.
+        """
+        if getattr(self.server, "closing", False):
+            self.close_connection = True
+            return False
+        if not super().parse_request():
+            return False
+        self._body_pending = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        return True
 
     # ------------------------------------------------------------------
     def _send_json(
@@ -89,15 +128,22 @@ class _JsonHandler(BaseHTTPRequestHandler):
         payload: Union[Dict[str, object], bytes],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        """Answer ``payload``; ``bytes`` are an encoded JSON body, sent as is."""
+        """Answer ``payload``: a dict as JSON, ``bytes`` as a finished body.
+
+        The body is JSON unless ``headers`` names another ``Content-Type``.
+        The connection closes after the answer when the request body was
+        not read in full or the peer asked to close.
+        """
         if isinstance(payload, bytes):
             body = payload
         else:
             body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
+        if self._body_pending or self.close_connection:
+            self.send_header("Connection", "close")
+        fields = {"Content-Type": "application/json", **(headers or {})}
+        fields["Content-Length"] = str(len(body))
+        for name, value in fields.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
@@ -144,9 +190,11 @@ class _JsonHandler(BaseHTTPRequestHandler):
             )
         body = self.rfile.read(length)
         if len(body) < length:
+            self.close_connection = True
             raise ConnectionAbortedError(
                 f"peer closed after {len(body)} of {length} body bytes"
             )
+        self._body_pending = False
         try:
             return json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -158,8 +206,8 @@ class ServeHandler(_JsonHandler):
 
     @property
     def service(self) -> "EvalService":
-        # The ThreadingHTTPServer subclass (_ServeHTTPServer) carries the
-        # service; BaseHTTPRequestHandler types ``server`` as BaseServer.
+        # ServiceHTTPServer carries the service; BaseHTTPRequestHandler
+        # types ``server`` as BaseServer.
         return cast("EvalService", getattr(self.server, "service"))
 
     def _record_http(self, route: str, status: int) -> None:
@@ -216,7 +264,7 @@ class ServeHandler(_JsonHandler):
             self._send_error_payload(route, job.error)
             return
         try:
-            answer: Dict[str, object] = {"result": encode_result(job.result)}
+            frame = encode_result(job.result)
         except ValueError as error:
             # The result, not the request, is at fault: always a 500, so a
             # CodecError from encoding must not pass for a 400.
@@ -224,7 +272,9 @@ class ServeHandler(_JsonHandler):
                 route, RuntimeError(f"result cannot be sent exactly: {error}")
             )
             return
-        self._send_json(route, 200, answer)
+        self._send_json(
+            route, 200, frame, headers={"Content-Type": RESULT_CONTENT_TYPE}
+        )
 
 
 class FrontHandler(_JsonHandler):
@@ -232,7 +282,7 @@ class FrontHandler(_JsonHandler):
 
     @property
     def front(self) -> "FrontService":
-        return cast("FrontService", getattr(self.server, "front"))
+        return cast("FrontService", getattr(self.server, "service"))
 
     def _record_http(self, route: str, status: int) -> None:
         self.front.record_http(route, status)
@@ -279,3 +329,64 @@ class FrontHandler(_JsonHandler):
             )
             return
         self._send_json(route, status, body, headers=headers)
+
+
+class ServiceHTTPServer(ThreadingHTTPServer):
+    """The threaded HTTP server of a replica or a front router.
+
+    It carries the ``service`` its handlers route onto, and tracks its
+    live connections so that :meth:`server_close` can end them.  A
+    kept-alive connection otherwise outlives the server: its handler
+    would wait up to :attr:`_JsonHandler.timeout` for the next request
+    and answer it from a closed service.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+    # The stdlib default listen backlog of 5 RSTs connections under a
+    # concurrent burst; admission control, not the kernel, sheds load here.
+    request_queue_size = 128
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        handler: Type[_JsonHandler],
+        service: object,
+    ) -> None:
+        super().__init__(address, handler)
+        self.service = service
+        #: set by :meth:`server_close`; handlers drop requests read after it.
+        self.closing = False
+        self._connections: Set[socket.socket] = set()  # guarded-by: _connections_lock
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request: _Request, client_address: object) -> None:
+        if isinstance(request, socket.socket):
+            with self._connections_lock:
+                self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: _Request) -> None:
+        if isinstance(request, socket.socket):
+            with self._connections_lock:
+                self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, then stop reading on every live connection.
+
+        Call it after the service closed and ``shutdown()`` stopped the
+        acceptor.  An answer already in flight still goes out, but a
+        handler waiting for the next request reads end-of-file and closes
+        its connection: a closed server answers nothing more on old
+        connections.
+        """
+        self.closing = True
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer already closed it

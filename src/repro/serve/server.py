@@ -17,9 +17,10 @@ Three layers, separable for testing:
   Responses are **bit-identical** to a direct ``Session.evaluate`` of the
   same request — the service adds queuing, never arithmetic.
 * :class:`EvalServer` — the stdlib HTTP binding
-  (:class:`~http.server.ThreadingHTTPServer` + the handler in
+  (:class:`~repro.serve.handlers.ServiceHTTPServer` + the handler in
   :mod:`repro.serve.handlers`) exposing ``POST /v1/evaluate``,
-  ``GET /v1/models``, ``GET /healthz``, and ``GET /metrics``.
+  ``GET /v1/models``, ``GET /healthz``, and ``GET /metrics`` over
+  kept-alive HTTP/1.1 connections.
 
 Two durability/throughput upgrades sit behind :class:`ServeConfig` flags:
 
@@ -52,7 +53,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import ResultMemo, Session, backend_names
@@ -72,7 +72,7 @@ from repro.serve.codec import (
     wire_payload,
 )
 from repro.serve.controller import ControllerConfig
-from repro.serve.handlers import ServeHandler
+from repro.serve.handlers import ServeHandler, ServiceHTTPServer
 
 #: Worker-pool implementations a service may run.
 WORKER_MODES = ("thread", "process")
@@ -663,20 +663,6 @@ class EvalService:
         }
 
 
-class _ServeHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service for its handlers."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    # The stdlib default listen backlog of 5 RSTs connections under a
-    # concurrent burst; admission control, not the kernel, sheds load here.
-    request_queue_size = 128
-
-    def __init__(self, address: Tuple[str, int], service: EvalService) -> None:
-        super().__init__(address, ServeHandler)
-        self.service = service
-
-
 class EvalServer:
     """HTTP front end over one :class:`EvalService`.
 
@@ -693,7 +679,7 @@ class EvalServer:
     ) -> None:
         self.config = config or ServeConfig()
         self.service = EvalService(registry, self.config)
-        self._httpd: Optional[_ServeHTTPServer] = None
+        self._httpd: Optional[ServiceHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -713,8 +699,8 @@ class EvalServer:
         if self._httpd is not None:
             return self
         self.service.start()
-        self._httpd = _ServeHTTPServer(
-            (self.config.host, self.config.port), self.service
+        self._httpd = ServiceHTTPServer(
+            (self.config.host, self.config.port), ServeHandler, self.service
         )
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,

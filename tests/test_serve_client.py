@@ -1,4 +1,4 @@
-"""Client-side retry jitter and base-URL failover (no server required).
+"""Client-side retry jitter, base-URL failover, and kept-alive connections.
 
 The retry bug this pins: ``evaluate_with_retry`` used to sleep the 429
 ``Retry-After`` hint *exactly*, so a shed burst of clients — all handed
@@ -7,18 +7,31 @@ they had just drained.  The nap is now AWS-style decorrelated jitter:
 drawn uniformly from ``[hint, max(hint, 3 x previous nap)]`` and clamped
 to ``max_backoff``, never below the server's hint.  ``sleep`` and ``rng``
 are injectable, so every property here is asserted without real waiting.
+
+The keep-alive tests boot a replica that hosts no model (and a front over
+it): sequential calls share one warm connection without a Nagle stall,
+and a connection the server closed while it sat idle is retried, not
+failed over.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import statistics
+import time
+
 import pytest
 
+from repro.serve import client as client_module
+from repro.serve import EvalServer, ModelRegistry, ServeConfig
 from repro.serve.client import (
     ServeClient,
     ServeError,
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
+from repro.serve.front import FrontConfig, FrontServer
 
 
 class _SheddingService:
@@ -155,15 +168,13 @@ def test_failover_walks_targets_and_promotes_the_answering_one(monkeypatch):
     )
     attempts = []
 
-    def fake_once(host, port, method, path, payload):
+    def fake_request(host, port, method, path, body, timeout):
         attempts.append((host, port))
         if port != 3:
-            raise ServiceUnavailableError(
-                f"cannot reach {host}:{port}", error_type="unreachable"
-            )
-        return 200, {}, {"status": "ok"}
+            raise ConnectionRefusedError(f"cannot reach {host}:{port}")
+        return 200, {}, b'{"status": "ok"}'
 
-    monkeypatch.setattr(client, "_http_once", fake_once)
+    monkeypatch.setattr(client._pool, "request", fake_request)
     assert client.health() == {"status": "ok"}
     assert attempts == [("10.9.9.1", 1), ("10.9.9.2", 2), ("10.9.9.3", 3)]
     # The answering target is promoted: the next call goes there first.
@@ -175,12 +186,10 @@ def test_failover_walks_targets_and_promotes_the_answering_one(monkeypatch):
 def test_all_targets_dead_raises_the_last_unreachable(monkeypatch):
     client = ServeClient(host="10.9.9.1", port=1, fallbacks=[("10.9.9.2", 2)])
 
-    def fake_once(host, port, method, path, payload):
-        raise ServiceUnavailableError(
-            f"cannot reach {host}:{port}", error_type="unreachable"
-        )
+    def fake_request(host, port, method, path, body, timeout):
+        raise ConnectionRefusedError(f"cannot reach {host}:{port}")
 
-    monkeypatch.setattr(client, "_http_once", fake_once)
+    monkeypatch.setattr(client._pool, "request", fake_request)
     with pytest.raises(ServiceUnavailableError, match="10.9.9.2:2"):
         client.health()
 
@@ -191,14 +200,88 @@ def test_http_level_errors_do_not_fail_over(monkeypatch):
     client = ServeClient(host="10.9.9.1", port=1, fallbacks=[("10.9.9.2", 2)])
     attempts = []
 
-    def fake_once(host, port, method, path, payload):
+    def fake_request(host, port, method, path, body, timeout):
         attempts.append((host, port))
-        return 429, {"retry-after": "3"}, {
-            "error": {"type": "overloaded", "message": "shed", "retry_after": 3}
-        }
+        error = {"type": "overloaded", "message": "shed", "retry_after": 3}
+        return 429, {"Retry-After": "3"}, json.dumps({"error": error}).encode()
 
-    monkeypatch.setattr(client, "_http_once", fake_once)
+    monkeypatch.setattr(client._pool, "request", fake_request)
     with pytest.raises(ServiceOverloadedError) as excinfo:
         client.health()
     assert excinfo.value.retry_after == 3.0
     assert attempts == [("10.9.9.1", 1)]
+
+
+# ----------------------------------------------------------------------
+# kept-alive connections
+# ----------------------------------------------------------------------
+@pytest.fixture
+def connects(monkeypatch):
+    """The port of every connection the pool opens, in order."""
+    opened = []
+
+    class CountingConnection(http.client.HTTPConnection):
+        def connect(self):
+            opened.append(self.port)
+            super().connect()
+
+    monkeypatch.setattr(client_module, "HTTPConnection", CountingConnection)
+    return opened
+
+
+def _model_less_replica(port=0):
+    """A replica that hosts nothing: enough for ``/healthz``."""
+    return EvalServer(ModelRegistry(), ServeConfig(port=port, workers=0)).start()
+
+
+def _median_health_ms(client, calls=20):
+    durations = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        assert client.health()["status"] == "ok"
+        durations.append(time.perf_counter() - start)
+    return statistics.median(durations) * 1e3
+
+
+def test_sequential_calls_share_one_connection_without_a_nagle_stall(connects):
+    """Headers and body leave the server in two writes; with Nagle on, a
+    kept-alive connection held each small answer for the client's delayed
+    ACK, about 44 ms per call."""
+    replica = _model_less_replica()
+    front = FrontServer(
+        FrontConfig(
+            port=0,
+            replicas=(f"127.0.0.1:{replica.port}",),
+            poll_interval=60.0,
+        )
+    ).start()
+    try:
+        for port in (replica.port, front.port):
+            before = connects.count(port)  # the front probed its replica
+            with ServeClient(port=port, timeout=30.0) as client:
+                assert _median_health_ms(client) < 20.0
+            assert connects.count(port) == before + 1
+    finally:
+        front.close()
+        replica.close()
+
+
+def test_restarted_server_is_reached_without_a_fallback(connects):
+    """The pooled connection to the first server instance is stale after
+    the restart: the pool retries it once on a new connection, so the
+    client never counts it as a dead target."""
+    replica = _model_less_replica()
+    port = replica.port
+    unused = _model_less_replica()
+    fallback = unused.port
+    unused.close()
+    client = ServeClient(port=port, timeout=30.0, fallbacks=[("127.0.0.1", fallback)])
+    try:
+        assert client.health()["status"] == "ok"
+        replica.close()
+        replica = _model_less_replica(port)
+        assert client.health()["status"] == "ok"
+        assert connects == [port, port]
+    finally:
+        client.close()
+        replica.close()

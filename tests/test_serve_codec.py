@@ -4,17 +4,17 @@ The protocol promise is *losslessness*: any :class:`EvalRequest` the
 protocol allows survives ``encode → json.dumps → json.loads → decode``
 with every field intact (models and datasets round-trip by registry name),
 and any :class:`EvalResult` whose scores are exact class means (every
-backend's are) survives the same trip **bit-identically**: arrays travel
-as base64 of their raw little-endian bytes, and the scores as the integer
-counts they are made of.  Hypothesis drives the field combinations,
-including multi-point (copies, spf) grids and the chip-only capability
-flags.  A result the wire cannot rebuild exactly is refused at encode,
-and one that contradicts itself is refused at decode.
+backend's are) survives its result frame **bit-identically**: a JSON
+header, then the arrays' raw little-endian bytes, with the scores sent as
+the integer counts they are made of.  Hypothesis drives the field
+combinations, including multi-point (copies, spf) grids and the chip-only
+capability flags.  A result the wire cannot rebuild exactly is refused at
+encode, and a frame that is malformed or contradicts itself is refused at
+decode with a :class:`CodecError` naming the field.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import replace
 
@@ -28,12 +28,11 @@ from repro.serve.codec import (
     CodecError,
     UnknownDatasetError,
     UnknownModelError,
-    decode_array,
     decode_request,
     decode_result,
-    encode_array,
     encode_request,
     encode_result,
+    read_frame,
     to_eval_request,
 )
 
@@ -131,7 +130,7 @@ array_shapes = st.tuples(
     with_counters=st.booleans(),
 )
 def test_result_roundtrip_is_bit_identical(shape, seed, peak, with_counters):
-    """EvalResult -> wire JSON -> EvalResult is exact to the last bit."""
+    """EvalResult -> result frame -> EvalResult is exact to the last bit."""
     repeats, n_copies, n_spf, batch, classes = shape
     rng = np.random.default_rng(seed)
     n_k = rng.integers(1, 9, size=classes).astype(np.int64)
@@ -155,7 +154,7 @@ def test_result_roundtrip_is_bit_identical(shape, seed, peak, with_counters):
         repeats=repeats,
         spike_counters=spike_counters,
     )
-    decoded = decode_result(json.loads(json.dumps(encode_result(result))))
+    decoded = decode_result(encode_result(result))
     for name in ("scores", "accuracy", "labels", "class_neuron_counts", "cores"):
         original, roundtripped = getattr(result, name), getattr(decoded, name)
         assert original.dtype == roundtripped.dtype
@@ -202,10 +201,11 @@ def _counts_result(counts, n_k=(1, 1)):
     ],
 )
 def test_counts_travel_in_the_narrowest_integer_dtype(peak, dtype):
-    payload = encode_result(_counts_result([[0, peak]]))
-    assert payload["counts"]["dtype"] == dtype
-    assert "scores" not in payload
-    decoded = decode_result(json.loads(json.dumps(payload)))
+    frame = encode_result(_counts_result([[0, peak]]))
+    header, _ = read_frame(frame)
+    assert header["counts"] == {"dtype": dtype, "shape": [1, 1, 1, 1, 2]}
+    assert "scores" not in header
+    decoded = decode_result(frame)
     assert decoded.class_counts().tolist() == [[[[[0, peak]]]]]
     assert decoded.scores.dtype == np.float64
 
@@ -227,104 +227,160 @@ def test_scores_that_are_not_exact_class_means_are_refused_at_encode():
         with pytest.raises(ValueError) as excinfo:
             encode_result(bad)
         assert not isinstance(excinfo.value, CodecError)
-    assert encode_result(exact)["counts"]["dtype"] == "int16"
+    assert read_frame(encode_result(exact))[0]["counts"]["dtype"] == "int16"
 
 
-def _payload(**changes):
-    """A valid result payload (repeats=1, copies (1, 2), spf (1,), batch 3,
-    two classes) with ``changes`` applied to its fields."""
-    counts = np.arange(12, dtype=np.int64).reshape(1, 2, 1, 3, 2)
-    n_k = np.array([2, 3], dtype=np.int64)
-    payload = encode_result(
-        EvalResult(
-            backend="chip",
-            copy_levels=(1, 2),
-            spf_levels=(1,),
-            scores=counts / n_k,
-            accuracy=np.zeros((1, 2, 1)),
-            labels=np.array([0, 1, 0], dtype=np.int64),
-            class_neuron_counts=n_k,
-            cores=np.array([4, 8], dtype=np.int64),
-            seed=0,
-            repeats=1,
-        )
+#: A valid result (repeats=1, copies (1, 2), spf (1,), batch 3, two
+#: classes): its scalar header fields, then its arrays in frame order.
+_FIELDS = {
+    "backend": "chip",
+    "copy_levels": [1, 2],
+    "spf_levels": [1],
+    "seed": 0,
+    "repeats": 1,
+    "counts": np.arange(12, dtype=np.int16).reshape(1, 2, 1, 3, 2),
+    "accuracy": np.zeros((1, 2, 1)),
+    "labels": np.array([0, 1, 0], dtype=np.int64),
+    "class_neuron_counts": np.array([2, 3], dtype=np.int64),
+    "cores": np.array([4, 8], dtype=np.int64),
+    "spike_counters": None,
+}
+
+
+def _frame(header=None, **changes):
+    """A result frame of ``_FIELDS`` with ``changes`` applied, packed here
+    rather than by the codec: an array field is sent as its descriptor in
+    the header plus its bytes, anything else as a header value.  A
+    ``header`` dict replaces the packed header wholesale."""
+    fields = {**_FIELDS, **changes}
+    packed = {}
+    chunks = []
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            packed[name] = {"dtype": value.dtype.name, "shape": list(value.shape)}
+            chunks.append(value.astype(value.dtype.newbyteorder("<")).tobytes())
+        else:
+            packed[name] = value
+    head = json.dumps(packed if header is None else header).encode("utf-8")
+    return len(head).to_bytes(4, "little") + head + b"".join(chunks)
+
+
+def _assert_rejected(frame, match, field):
+    with pytest.raises(CodecError, match=match) as excinfo:
+        decode_result(frame)
+    assert excinfo.value.field == field
+
+
+def test_frame_layout_is_a_json_header_then_the_raw_arrays():
+    """The encoder writes exactly the documented layout: a 4-byte
+    little-endian header length, the UTF-8 JSON header, then each array's
+    little-endian C-order bytes in field order, and nothing after."""
+    n_k = _FIELDS["class_neuron_counts"]
+    counts = _FIELDS["counts"]
+    result = EvalResult(
+        backend="chip",
+        copy_levels=(1, 2),
+        spf_levels=(1,),
+        scores=counts / n_k,
+        accuracy=_FIELDS["accuracy"],
+        labels=_FIELDS["labels"],
+        class_neuron_counts=n_k,
+        cores=_FIELDS["cores"],
+        seed=0,
+        repeats=1,
     )
-    payload.update(changes)
-    return json.loads(json.dumps(payload))
+    frame = encode_result(result)
+    length = int.from_bytes(frame[:4], "little")
+    header = json.loads(frame[4 : 4 + length].decode("utf-8"))
+    assert header == read_frame(_frame())[0]
+    assert frame[4 + length :] == b"".join(
+        _FIELDS[name].tobytes()
+        for name in ("counts", "accuracy", "labels", "class_neuron_counts", "cores")
+    )
 
 
 @pytest.mark.parametrize(
     "changes, field",
     [
-        ({"accuracy": encode_array(np.zeros(5))}, "accuracy"),
-        ({"labels": encode_array(np.zeros(7, dtype=np.int64))}, "counts"),
-        ({"cores": encode_array(np.array([4], dtype=np.int64))}, "cores"),
+        ({"accuracy": np.zeros(5)}, "accuracy"),
+        ({"labels": np.zeros(7, dtype=np.int64)}, "counts"),
+        ({"cores": np.array([4], dtype=np.int64)}, "cores"),
         (
-            {"class_neuron_counts": encode_array(np.zeros(2, dtype=np.int64))},
+            {"class_neuron_counts": np.zeros(2, dtype=np.int64)},
             "class_neuron_counts",
         ),
         ({"repeats": 9}, "counts"),
         ({"copy_levels": [1, 2, 4]}, "counts"),
         ({"spf_levels": [1, 2]}, "counts"),
+        ({"counts": -np.ones((1, 2, 1, 3, 2), dtype=np.int64)}, "counts"),
+        ({"counts": np.zeros((1, 2, 1, 3, 2))}, "counts"),
+        ({"class_neuron_counts": np.array([2.0, 3.0])}, "class_neuron_counts"),
+        ({"labels": np.zeros((3, 1), dtype=np.int64)}, "labels"),
         (
-            {"counts": encode_array(-np.ones((1, 2, 1, 3, 2), dtype=np.int64))},
-            "counts",
-        ),
-        ({"counts": encode_array(np.zeros((1, 2, 1, 3, 2)))}, "counts"),
-        (
-            {"class_neuron_counts": encode_array(np.array([2.0, 3.0]))},
-            "class_neuron_counts",
-        ),
-        ({"labels": encode_array(np.zeros((3, 1), dtype=np.int64))}, "labels"),
-        (
-            {"spike_counters": encode_array(np.zeros((1, 2, 4, 7), dtype=np.int64))},
+            {"spike_counters": np.zeros((1, 2, 4, 7), dtype=np.int64)},
             "spike_counters",
         ),
         (
-            {"spike_counters": encode_array(np.zeros((1, 1, 4, 3), dtype=np.int64))},
+            {"spike_counters": np.zeros((1, 1, 4, 3), dtype=np.int64)},
             "spike_counters",
         ),
     ],
 )
 def test_self_contradicting_result_is_rejected(changes, field):
-    decode_result(_payload())  # the unchanged payload decodes
-    counters = encode_array(np.zeros((1, 2, 4, 3), dtype=np.int64))
-    decoded = decode_result(_payload(spike_counters=counters))
+    decode_result(_frame())  # the unchanged frame decodes
+    counters = np.zeros((1, 2, 4, 3), dtype=np.int64)
+    decoded = decode_result(_frame(spike_counters=counters))
     assert decoded.spike_counters.shape == (1, 2, 4, 3)
     with pytest.raises(CodecError) as excinfo:
-        decode_result(_payload(**changes))
+        decode_result(_frame(**changes))
     assert excinfo.value.field == field
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    shape=st.one_of(
-        st.just([]),  # 0-d
-        st.just([3, 0, 2]),  # zero-size
-        st.lists(st.integers(0, 4), min_size=0, max_size=3),
-    ),
+    cores=st.integers(0, 4),
+    batch=st.integers(0, 4),
     dtype=st.sampled_from([">f8", "<f8", ">i8", "<i8", "<i4", ">i2", "bool"]),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_array_roundtrip_any_shape_and_dtype(shape, dtype, seed):
+def test_array_roundtrip_any_shape_and_dtype(cores, batch, dtype, seed):
+    """Every wire dtype, in either byte order, zero-size shapes, a NaN
+    payload and a signed zero cross a frame bit for bit (the spike
+    counters and the accuracy carry them)."""
     rng = np.random.default_rng(seed)
+    shape = (1, 2, cores, batch)
     if dtype.endswith("f8"):
         array = rng.standard_normal(shape).astype(dtype)
-        # A NaN payload (``repr`` text would drop it) and a signed zero.
-        specials = np.array([0x7FF80000DEADBEEF, 1 << 63], dtype=np.uint64)
-        array.reshape(-1)[:2] = specials.view(np.float64)[: array.size]
     elif "i" in dtype:
         info = np.iinfo(dtype)
         values = rng.integers(info.min, info.max, size=shape, endpoint=True)
         array = values.astype(dtype)
     else:
         array = rng.random(shape) < 0.5
-    decoded = decode_array(json.loads(json.dumps(encode_array(array))))
-    native = array.astype(array.dtype.newbyteorder("="))
-    assert decoded.dtype == native.dtype
-    assert decoded.shape == array.shape
-    assert decoded.tobytes() == native.tobytes()
-    assert decoded.flags.writeable
+    # A NaN payload (``repr`` text would drop it) and a signed zero.
+    specials = np.array([0x7FF80000DEADBEEF, 1 << 63], dtype=np.uint64)
+    accuracy = np.zeros((1, 2, 1), dtype=dtype if dtype.endswith("f8") else "<f8")
+    accuracy.reshape(-1)[:] = specials.view(np.float64)
+    n_k = np.array([1, 2], dtype=np.int64)
+    result = _counts_result(np.zeros((batch, 2), dtype=np.int64), n_k=n_k)
+    result = replace(
+        result,
+        copy_levels=(1, 2),
+        scores=np.zeros((1, 2, 1, batch, 2)),
+        accuracy=accuracy,
+        cores=np.array([4, 8], dtype=np.int64),
+        spike_counters=array,
+    )
+    decoded = decode_result(encode_result(result))
+    for sent, received in (
+        (array, decoded.spike_counters),
+        (accuracy, decoded.accuracy),
+    ):
+        native = sent.astype(sent.dtype.newbyteorder("="))
+        assert received.dtype == native.dtype
+        assert received.shape == sent.shape
+        assert received.tobytes() == native.tobytes()
+        assert received.flags.writeable
 
 
 # ----------------------------------------------------------------------
@@ -392,42 +448,100 @@ def test_unknown_model_and_dataset_are_typed():
         )
 
 
-def _assert_rejected(obj, match):
-    with pytest.raises(CodecError, match=match) as excinfo:
-        decode_array(obj, "scores")
-    assert excinfo.value.field == "scores"
-
-
 def test_int64_array_rejects_lossy_float_and_bool_entries():
-    """Only canonical base64 bytes decode: not JSON lists (np.asarray would
-    truncate 1.7 and coerce True), not text outside the base64 alphabet,
-    and not bool bytes numpy would read as True although they are not 1."""
-    good = encode_array(np.arange(2, dtype=np.int64))
-    _assert_rejected(dict(good, data=[1.7, 2]), "data must be a string")
-    _assert_rejected(dict(good, data=[True, 2]), "data must be a string")
-    _assert_rejected(dict(good, data=good["data"].replace("A", "*", 1)), "base64")
-    _assert_rejected(dict(good, data=" " + good["data"]), "not base64")
-    _assert_rejected(dict(good, data="é" * len(good["data"])), "not base64")
-    flags = encode_array(np.array([True, False]))
-    assert flags["data"] == base64.b64encode(b"\x01\x00").decode("ascii")
-    twos = base64.b64encode(b"\x01\x02").decode("ascii")
-    _assert_rejected(dict(flags, data=twos), "bool bytes must be 0 or 1")
+    """Integer arrays must arrive as integers, not as floats (a count of
+    1.7) or bools, and bool bytes must be 0 or 1: numpy would read a 2 as
+    True."""
+    _assert_rejected(_frame(counts=np.full((1, 2, 1, 3, 2), 1.7)), "integer", "counts")
+    flags = np.ones((1, 2, 1, 3, 2), dtype=bool)
+    _assert_rejected(_frame(counts=flags), "integer", "counts")
+    labels = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(CodecError):
+        decode_result(_frame(class_neuron_counts=labels))
+    counters = np.zeros((1, 2, 4, 3), dtype=bool)
+    frame = _frame(spike_counters=counters)
+    decode_result(frame)
+    twos = frame[:-1] + b"\x02"
+    _assert_rejected(twos, "bool bytes must be 0 or 1", "spike_counters")
 
 
 def test_array_shape_data_mismatch_rejected():
-    good = encode_array(np.arange(6, dtype=np.int64).reshape(2, 3))
-    short = base64.b64encode(base64.b64decode(good["data"])[:-8]).decode("ascii")
-    _assert_rejected(dict(good, data=short), r"40 bytes, shape \(2, 3\) .* needs 48")
-    _assert_rejected(dict(good, shape=[3, 3]), "needs 72")
-    _assert_rejected(dict(good, shape=[-2, -3]), "dims must be >= 0")
-    _assert_rejected(dict(good, shape=[0, 2**70], data=""), "shape is invalid")
-    _assert_rejected(dict(good, shape=[6] + [1] * 64), "shape is invalid")
-    _assert_rejected(dict(good, data=None), "data must be a string")
-    _assert_rejected(good["data"], "must be an array object")
+    """The arrays' byte counts must add up to the body length exactly."""
+    frame = _frame()
+    decode_result(frame)
+    _assert_rejected(frame[:-1], "past the", "cores")
+    _assert_rejected(frame + b"\x00", "1 bytes after its last array", "body")
+    wide = np.zeros((1, 2, 1, 3, 3), dtype=np.int16)
+    header, _ = read_frame(frame)
+    header["counts"] = {"dtype": "int16", "shape": list(wide.shape)}
+    _assert_rejected(_frame(header=header), "past the", "cores")
+    header["counts"] = {"dtype": "int16", "shape": [-2, -3]}
+    _assert_rejected(_frame(header=header), "dims must be >= 0", "counts")
+    header["counts"] = {"dtype": "int16", "shape": [0, 2**70]}
+    hollow = _frame(header=header, counts=np.zeros(0, dtype=np.int16))
+    _assert_rejected(hollow, "shape is invalid", "counts")
+    header["counts"] = {"dtype": "int16", "shape": [12] + [1] * 64}
+    _assert_rejected(_frame(header=header), "shape is invalid", "counts")
+    header["counts"] = {"dtype": "int16", "shape": "12"}
+    _assert_rejected(_frame(header=header), "list of integers", "counts")
 
 
 def test_result_missing_field_rejected():
-    payload = encode_result(_counts_result([[0, 0], [0, 0]]))
-    payload.pop("counts")
-    with pytest.raises(CodecError, match="missing fields"):
-        decode_result(payload)
+    header, _ = read_frame(_frame())
+    header.pop("counts")
+    with pytest.raises(CodecError, match="missing fields") as excinfo:
+        decode_result(_frame(header=header))
+    assert excinfo.value.field == "counts"
+
+
+def _header(**changes):
+    header, _ = read_frame(_frame())
+    header.update(changes)
+    return header
+
+
+@pytest.mark.parametrize(
+    "frame, match, field",
+    [
+        (b"\x05\x00", "too short", "header"),
+        (b"\xff\x00\x00\x00{}", "runs past", "header"),
+        (b"\x01\x00\x00\x00{", "not valid JSON", "header"),
+        (b"\x02\x00\x00\x00\xff\xfe", "not valid JSON", "header"),
+        (b"\x02\x00\x00\x00[]", "must be a JSON object", "header"),
+        (_frame(header=_header(scores=None)), "unknown result fields", "scores"),
+        (_frame(header=_header(spike_counters={})), "descriptor", "spike_counters"),
+        (
+            _frame(header=_header(accuracy={"dtype": "float32", "shape": [1, 2, 1]})),
+            "unknown dtype",
+            "accuracy",
+        ),
+        (
+            _frame(header=_header(labels={"dtype": "uint8", "shape": [3]})),
+            "unknown dtype",
+            "labels",
+        ),
+        (_frame(header=_header(repeats=True)), "repeats must be an integer", "repeats"),
+        (_frame(header=_header(backend=7)), "backend must be a string", "backend"),
+    ],
+    ids=[
+        "short-body",
+        "header-past-end",
+        "header-not-json",
+        "header-not-utf8",
+        "header-not-object",
+        "unknown-field",
+        "bad-descriptor",
+        "float32-dtype",
+        "uint8-dtype",
+        "bool-repeats",
+        "int-backend",
+    ],
+)
+def test_malformed_frame_is_rejected_naming_its_field(frame, match, field):
+    _assert_rejected(frame, match, field)
+
+
+def test_non_bytes_result_is_rejected():
+    """A 1.5 answer's JSON ``result`` object is no frame."""
+    with pytest.raises(CodecError, match="must be bytes"):
+        decode_result({"backend": "chip"})

@@ -15,8 +15,12 @@ The front tier's promises, each pinned here:
 * validation failures (400) are answered at the front without burning a
   backend connection, while replica answers (404s, 429s) pass through
   byte for byte, headers included;
-* a replica that hangs up mid-answer is failed over and ejected like a
-  dead socket, and a client pointed straight at it falls back;
+* a replica that hangs up mid-answer, or answers a 200 that is not a
+  valid result frame, is failed over and ejected like a dead socket, and
+  a client pointed straight at a torn one falls back;
+* a replica restarted on its port leaves the front's kept-alive
+  connections to it stale, and the front retries them on a new
+  connection instead of ejecting a live replica;
 * a draining replica (``/healthz`` status ``shutting-down``, 503 on every
   evaluation) stays out of the ring until it reports ``ok`` again.
 """
@@ -43,6 +47,7 @@ from repro.serve import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
+from repro.serve.codec import RESULT_CONTENT_TYPE
 from repro.serve.front import (
     FleetUnavailableError,
     FrontConfig,
@@ -375,6 +380,39 @@ def test_replica_kill_mid_burst_is_absorbed_by_failover(registry):
             replica.close()
 
 
+def test_restarted_replica_is_proxied_without_an_ejection(registry):
+    """Restarting a replica on its port leaves the front's pooled
+    connections to it stale.  The next proxy must retry on a new
+    connection: counted as a failure, it ejected a live replica (the only
+    one here, so the client got a 503)."""
+    replica = EvalServer(registry, ServeConfig(port=0, workers=1, queue_depth=8))
+    replica.start()
+    port = replica.port
+    config = FrontConfig(
+        port=0,
+        replicas=(f"127.0.0.1:{port}",),
+        poll_interval=60.0,  # no poll between the restart and the request
+        request_timeout=60.0,
+    )
+    try:
+        with FrontServer(config) as front:
+            client = ServeClient(port=front.port, timeout=60.0)
+            first = client.evaluate(model="tea", seed=51)
+            replica.close()
+            replica = EvalServer(
+                registry, ServeConfig(port=port, workers=1, queue_depth=8)
+            )
+            replica.start()
+            second = client.evaluate(model="tea", seed=51)
+            assert second.scores.tobytes() == first.scores.tobytes()
+            (view,) = client.fleet()["replicas"]
+            assert view["healthy"]
+            assert view["ejections"] == 0 and view["proxy_failures"] == 0
+            assert front.service.failovers == 0
+    finally:
+        replica.close()
+
+
 def test_fleet_saturation_sheds_429_before_any_backend_socket(registry):
     """Both replicas full (workers=0 freezes the pools): the front answers
     429 from its polled drain state, and the replicas' own ``received``
@@ -577,6 +615,20 @@ class _DrainingHandler(_TornHandler):
         self.wfile.write(body)
 
 
+class _GarbledHandler(_TornHandler):
+    """GETs as :class:`_TornHandler`; every ``POST`` answers a 200 with
+    the ``(Content-Type, body)`` of ``server.garbled``."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        content_type, body = self.server.garbled
+        self.send_response(200)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
 class _TornReplica(ThreadingHTTPServer):
     daemon_threads = True
 
@@ -585,7 +637,10 @@ class _TornReplica(ThreadingHTTPServer):
         self.canned = canned
         self.port = self.server_address[1]
         self.name = f"127.0.0.1:{self.port}"
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # A short poll keeps shutdown() quick: the fixtures rebind often.
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(0.05,), daemon=True
+        )
         self._thread.start()
 
     def close(self):
@@ -595,8 +650,10 @@ class _TornReplica(ThreadingHTTPServer):
 
 
 @pytest.fixture
-def torn_home(registry):
-    """A healthy replica, and a torn one the ring makes the home of "tea"."""
+def torn_home(registry, request):
+    """A healthy replica, and a torn one the ring makes the home of "tea"
+    (answering POSTs with the handler that ``request.param`` names)."""
+    handler = getattr(request, "param", _TornHandler)
     healthy = EvalServer(registry, ServeConfig(port=0, workers=2, queue_depth=16))
     healthy.start()
     direct = ServeClient(port=healthy.port, timeout=60.0)
@@ -613,7 +670,7 @@ def torn_home(registry):
     healthy_name = f"127.0.0.1:{healthy.port}"
     # Rendezvous weights hash "host:port": rebind until the torn one wins.
     for _ in range(64):
-        torn = _TornReplica(canned)
+        torn = _TornReplica(canned, handler)
         if ReplicaRing([torn.name, healthy_name]).route(fingerprint) == torn.name:
             break
         torn.close()
@@ -644,6 +701,49 @@ def test_torn_replica_answer_fails_over_and_is_ejected(torn_home):
         view = {entry["name"]: entry for entry in client.fleet()["replicas"]}
         assert not view[torn.name]["healthy"]
         assert view[torn.name]["ejections"] == 1
+        assert view[torn.name]["proxy_failures"] == 1
+        assert front.service.failovers == 1
+
+
+def _garble(frame, how):
+    """``(Content-Type, body)`` of a 200 that is not a valid result frame."""
+    if how == "json-body":
+        return "application/json", b'{"result": {}}'  # a 1.5 replica's answer
+    bodies = {
+        "one-byte-short": frame[:-1],
+        "trailing-byte": frame + b"\x00",
+        "header-past-end": b"\xff\xff\x00\x00" + frame[4:],
+    }
+    return RESULT_CONTENT_TYPE, bodies[how]
+
+
+@pytest.mark.parametrize("torn_home", [_GarbledHandler], indirect=True, ids=["garbled"])
+@pytest.mark.parametrize(
+    "how", ["json-body", "one-byte-short", "trailing-byte", "header-past-end"]
+)
+def test_garbled_replica_answer_fails_over_and_is_ejected(torn_home, how):
+    """A 200 passes the front only as a result frame whose header parses
+    and whose byte counts add up to the body; anything else fails over
+    like a torn answer and never reaches the client."""
+    torn, healthy = torn_home
+    payload = {"model": "tea", "copy_levels": [1, 2], "spf_levels": [1], "seed": 43}
+    status, headers, frame = _post_raw(healthy.port, payload)
+    assert status == 200 and headers["Content-Type"] == RESULT_CONTENT_TYPE
+    torn.garbled = _garble(frame, how)
+    config = FrontConfig(
+        port=0,
+        replicas=(torn.name, f"127.0.0.1:{healthy.port}"),
+        poll_interval=60.0,  # no re-poll: the ejection must come from the proxy
+        request_timeout=60.0,
+    )
+    with FrontServer(config) as front:
+        client = ServeClient(port=front.port, timeout=60.0)
+        assert client.fleet()["assignments"]["tea"] == torn.name
+        status, headers, routed = _post_raw(front.port, payload)
+        assert status == 200 and routed == frame
+        assert headers["Content-Type"] == RESULT_CONTENT_TYPE
+        view = {entry["name"]: entry for entry in client.fleet()["replicas"]}
+        assert not view[torn.name]["healthy"]
         assert view[torn.name]["proxy_failures"] == 1
         assert front.service.failovers == 1
 

@@ -10,7 +10,9 @@ invariants at all times.
 
 from __future__ import annotations
 
+import http.client
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -34,7 +36,7 @@ from repro.serve import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
-from repro.serve.handlers import _JsonHandler
+from repro.serve.handlers import MAX_BODY_BYTES, _JsonHandler
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +372,78 @@ def test_body_cut_short_is_not_answered(server):
         peer.sendall(_SHORT_POST)
         peer.shutdown(socket.SHUT_WR)
         assert peer.recv(1024) == b""
+
+
+# ----------------------------------------------------------------------
+# kept-alive connections: unread bodies and closed servers
+# ----------------------------------------------------------------------
+#: A whole request, sent where the server expects body bytes it won't read.
+_SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+
+
+def _read_until_closed(peer: socket.socket) -> bytes:
+    """Everything the server sends before it closes (or resets) ``peer``."""
+    chunks = []
+    while True:
+        try:
+            chunk = peer.recv(65536)
+        except ConnectionResetError:
+            break
+        if not chunk:
+            break
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "path, length",
+    [("/v1/evaluate", MAX_BODY_BYTES + 1), ("/v2/evaluate", len(_SMUGGLED))],
+    ids=["oversize-body", "unknown-path"],
+)
+def test_unread_body_closes_the_connection(server, path, length):
+    """On a kept-alive connection, body bytes the server did not read would
+    parse as the next request: here, a smuggled ``GET /healthz``."""
+    head = f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+    address = ("127.0.0.1", server.port)
+    with socket.create_connection(address, timeout=10.0) as peer:
+        peer.sendall(head.encode("ascii") + _SMUGGLED)
+        answer = _read_until_closed(peer)
+    assert len(re.findall(rb"HTTP/1\.1 \d{3} ", answer)) == 1
+    head_lines = answer.partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert head_lines[0].split()[1] in (b"400", b"404")
+    assert b"Connection: close" in head_lines[1:]
+
+
+def test_closed_server_answers_nothing_on_an_old_connection(registry):
+    """A kept-alive connection used to outlive ``EvalServer.close()``: its
+    handler waited up to 30 s for the next request and answered it from
+    the closed service, a 503."""
+    server = EvalServer(registry, ServeConfig(port=0, workers=1, queue_depth=4))
+    server.start()
+    used = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
+    unused = socket.create_connection(("127.0.0.1", server.port), timeout=10.0)
+    try:
+        used.request("GET", "/healthz")
+        response = used.getresponse()
+        assert response.status == 200 and not response.will_close
+        response.read()
+        server.close()
+        # The idle handler is released at once: its peer reads end-of-file.
+        assert _read_until_closed(used.sock) == b""
+        request = (
+            b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+            b'Content-Length: 16\r\n\r\n{"model": "tea"}'
+        )
+        for peer in (used.sock, unused):
+            try:
+                peer.sendall(request)
+            except ConnectionError:
+                continue  # reset before the write: answered nothing either
+            assert _read_until_closed(peer) == b""
+    finally:
+        used.close()
+        unused.close()
+        server.close()
 
 
 # ----------------------------------------------------------------------
