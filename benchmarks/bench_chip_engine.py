@@ -22,10 +22,12 @@ A third section (``--grid``) times a full ``(copies, spf, repeats)``
 **grid sweep**: the single-pass path (all repeats' copies in one chip
 image, one max-spf pass with every spf level read off the run, every copy
 level an exact cumsum prefix — what :class:`repro.api.backends.ChipBackend`
-does for a deterministic grid) against the per-cell loop (one ``c``-copy
-program + pass per (copy level, spf, repeat) grid cell), enforcing
-bit-identical class counts and spike counters and recording
-``grid_speedup``.
+does for every grid) against the per-cell loop (one ``c``-copy program +
+pass per (copy level, spf, repeat) grid cell), enforcing bit-identical
+class counts and spike counters and recording ``grid_speedup``.  It runs
+twice: with deterministic synapses (``grid``) and with stochastic
+synapses re-sampled per tick from fixed per-copy LFSR seeds
+(``grid_stochastic``).
 
 A fourth section (``--board``) times the **multi-chip board** engine at a
 fixed copy count while the board grows: the same copies packed onto one
@@ -198,16 +200,18 @@ def main() -> None:
             model, volumes, copies=args.board_copies, repeats=args.batch_repeats
         )
 
-    grid_record = None
+    grid_records = {"grid": None, "grid_stochastic": None}
     if args.grid:
-        grid_record = bench_grid(
-            model,
-            dataset,
-            spf_levels=tuple(sorted({1, 2, args.spf})),
-            copies=args.grid_copies,
-            repeats=args.grid_repeats,
-            best_of=args.batch_repeats,
-        )
+        for key, stochastic in (("grid", False), ("grid_stochastic", True)):
+            grid_records[key] = bench_grid(
+                model,
+                dataset,
+                spf_levels=tuple(sorted({1, 2, args.spf})),
+                copies=args.grid_copies,
+                repeats=args.grid_repeats,
+                best_of=args.batch_repeats,
+                stochastic=stochastic,
+            )
 
     counts_identical = bool(np.array_equal(loop_counts, batch_counts))
     spikes_identical = bool(np.array_equal(loop_spikes, batch_spikes))
@@ -232,7 +236,7 @@ def main() -> None:
         "class_counts_bit_identical": counts_identical,
         "spike_counters_bit_identical": spikes_identical,
         "multicopy": multicopy_record,
-        "grid": grid_record,
+        **grid_records,
         "board": board_record,
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -258,13 +262,15 @@ def main() -> None:
             )
         if multicopy_record["speedup"] < 1.0:
             raise SystemExit("multi-copy engine slower than the per-copy loop")
-    if grid_record is not None:
+    for key, grid_record in grid_records.items():
+        if grid_record is None:
+            continue
         if not grid_record["class_counts_bit_identical"]:
-            raise SystemExit("grid class counts diverged from the cell loop")
+            raise SystemExit(f"{key} class counts diverged from the cell loop")
         if not grid_record["spike_counters_bit_identical"]:
-            raise SystemExit("grid spike counters diverged from the cell loop")
+            raise SystemExit(f"{key} spike counters diverged from the cell loop")
         if grid_record["grid_speedup"] < 1.0:
-            raise SystemExit("single-pass grid slower than the cell loop")
+            raise SystemExit(f"single-pass {key} slower than the cell loop")
     if board_record is not None:
         for point in board_record["points"]:
             if not point["class_counts_bit_identical"]:
@@ -427,7 +433,13 @@ def bench_board(model, volumes: np.ndarray, copies: int, repeats: int) -> dict:
 
 
 def bench_grid(
-    model, dataset, spf_levels: tuple, copies: int, repeats: int, best_of: int
+    model,
+    dataset,
+    spf_levels: tuple,
+    copies: int,
+    repeats: int,
+    best_of: int,
+    stochastic: bool,
 ) -> dict:
     """Time a (copies, spf, repeats) sweep: single-pass grid vs cell loop.
 
@@ -438,19 +450,28 @@ def bench_grid(
     cumsum prefix reuse, repeat folding and level readout.  The grid side
     programs all repeats' copies side by side once and reads the whole
     grid off one max-spf pass, exactly as
-    :class:`repro.api.backends.ChipBackend` does for a deterministic grid.
-    Both sides start from the same prepared deployments and encoded
-    volumes, drawn from the canonical ``spawn_rngs`` randomness layout
-    (the lower levels' volumes are prefixes of the max level's), so the
-    timings isolate the chip engine.  Since every cell runs standalone,
-    the cell loop is an independent oracle for the level readout: class
-    counts of every grid cell and per-copy spike counters at the max spf
-    level are compared bit for bit.
+    :class:`repro.api.backends.ChipBackend` does.  Both sides start from
+    the same prepared deployments and encoded volumes, drawn from the
+    canonical ``spawn_rngs`` randomness layout (the lower levels' volumes
+    are prefixes of the max level's), so the timings isolate the chip
+    engine.  Since every cell runs standalone, the cell loop is an
+    independent oracle for the level readout: class counts of every grid
+    cell and per-copy spike counters at the max spf level are compared bit
+    for bit.  With ``stochastic`` every synapse is re-sampled per tick,
+    and copy ``c`` of repeat ``r`` draws from the same fixed LFSR seed in
+    every cell that holds it and in the grid pass.
     """
     from repro.mapping.corelet import build_corelets
+    from repro.mapping.pipeline import stochastic_neuron_config
     from repro.utils.rng import new_rng, spawn_rngs
 
     network = build_corelets(model)
+    neuron_config = stochastic_neuron_config(network) if stochastic else None
+    seeds = None  # (repeats, copies) distinct LFSR seeds, as the backend draws
+    if stochastic:
+        seeds = new_rng(1).choice(
+            np.arange(1, 2**16), size=(repeats, copies), replace=False
+        )
     prepared = []  # per level: [(deployment, (batch, ticks, input)), ...]
     for spf in spf_levels:
         encoder = StochasticEncoder(spikes_per_frame=spf)
@@ -469,13 +490,19 @@ def bench_grid(
         counts, counters = [], None
         for level in prepared:
             level_cells = []
-            for deployment, volumes in level:
+            for r, (deployment, volumes) in enumerate(level):
                 cells = []
                 for c in range(1, copies + 1):
                     prefix = deployment.copies[:c]
-                    chip, core_ids = program_chip_multicopy(prefix)
+                    chip, core_ids = program_chip_multicopy(
+                        prefix, neuron_config=neuron_config
+                    )
                     cell = run_chip_inference_multicopy(
-                        chip, prefix, core_ids, volumes
+                        chip,
+                        prefix,
+                        core_ids,
+                        volumes,
+                        copy_seeds=None if seeds is None else seeds[r, :c].tolist(),
                     )
                     cells.append(cell.sum(axis=0))
                     if c == copies:
@@ -494,9 +521,14 @@ def bench_grid(
         level = prepared[-1]  # max spf: every lower level is a prefix
         flat = [copy for deployment, _ in level for copy in deployment.copies]
         volumes = np.stack([vol for _, vol in level])
-        chip, core_ids = program_chip_multicopy(flat)
+        chip, core_ids = program_chip_multicopy(flat, neuron_config=neuron_config)
         raw = run_chip_inference_multicopy(
-            chip, flat, core_ids, volumes, levels=spf_levels
+            chip,
+            flat,
+            core_ids,
+            volumes,
+            copy_seeds=None if seeds is None else seeds.ravel().tolist(),
+            levels=spf_levels,
         )
         raw = raw.reshape((len(spf_levels), repeats, copies) + raw.shape[2:])
         # (levels, R, C, batch, classes) -> (R, C, levels, batch, classes)
@@ -522,6 +554,7 @@ def bench_grid(
         "copies": int(copies),
         "spf_levels": [int(s) for s in spf_levels],
         "repeats": int(repeats),
+        "stochastic": bool(stochastic),
         "cell_loop_seconds": cell_seconds,
         "grid_seconds": grid_seconds,
         "grid_speedup": (

@@ -16,23 +16,21 @@ Four backends wrap the repo's evaluation engines behind one
   deployed copies of **all repeats** programmed side by side into one
   multi-copy chip image, lock-step ticks over ``repeats x copies x batch``
   rows, per-core spike counters, router-delay control, and
-  stochastic-synapse sweeps on per-copy LFSR streams.  A deterministic
-  ``(copies, spf, repeats)`` grid is served in **one** pass that runs
-  ``max(spf_levels)`` ticks and reads every spf level off the run (level
-  readout); stochastic-synapse grids take one pass per spf level,
-  optionally fanned over worker processes.  Copy and repeat levels fall
-  out of one pass via exact integer cumsums.
+  stochastic-synapse sweeps on per-copy LFSR streams.  Every ``(copies,
+  spf, repeats)`` grid, stochastic synapses included, is served in
+  **one** pass that runs ``max(spf_levels)`` ticks and reads every spf
+  level off the run (level readout).  Copy and repeat levels fall out of
+  the pass via exact integer cumsums.
 * ``board`` — the multi-chip board mesh
   (:func:`repro.mapping.pipeline.run_board_inference_multicopy`):
   duplication sweeps whose core footprint overflows one chip spill onto a
-  mesh of chips, boundary-crossing spikes pay a configurable per-hop link
-  delay, and ``workers=N`` shards each pass over its placement segments
-  (one worker per simulated chip group).  Every board chip is a multi-copy
-  chip image and repeats fold as on the chip, so a grid takes one pass
-  that reads every spf level off the run when all spike paths share one
-  latency (``link_delay == 0`` or no split copy); otherwise, and for
-  stochastic synapses, each spf level is its own pass.  On a 1x1 board
-  with ideal links it is bit-identical to ``chip``.
+  mesh of chips, and boundary-crossing spikes pay a configurable per-hop
+  link delay.  Every board chip is a multi-copy chip image and repeats
+  fold as on the chip, so a grid takes one pass that reads every spf
+  level off the run when all spike paths share one latency
+  (``link_delay == 0`` or no split copy); otherwise each spf level is its
+  own pass.  On a 1x1 board with ideal links it is bit-identical to
+  ``chip``.
 
 All four consume the canonical randomness layout documented in
 :mod:`repro.api.protocol`, so a request produces the same sampled
@@ -66,11 +64,11 @@ from repro.datasets.base import Dataset
 from repro.encoding.stochastic import StochasticEncoder
 from repro.eval.engine import class_counts as class_neuron_counts
 from repro.eval.engine import evaluate_scores_reference
-from repro.eval.runner import ScoreCache, SweepRunner, parallel_map
+from repro.eval.runner import ScoreCache, SweepRunner
 from repro.mapping.corelet import CoreletNetwork, build_corelets
 from repro.mapping.deploy import DeployedNetwork
 from repro.mapping.duplication import deploy_with_copies
-from repro.mapping.placement import place_on_board
+from repro.mapping.placement import BoardPlacement, place_on_board
 from repro.mapping.pipeline import (
     board_spike_counters,
     paths_share_one_latency,
@@ -232,18 +230,12 @@ class VectorizedBackend:
     Args:
         cache: in-memory score cache shared across requests; ``None`` uses
             the process-global cache.
-        workers: fan independent per-repeat passes over N processes.
     """
 
     name = "vectorized"
 
-    def __init__(
-        self,
-        cache: Optional[ScoreCache] = None,
-        workers: Optional[int] = None,
-    ):
+    def __init__(self, cache: Optional[ScoreCache] = None) -> None:
         self.cache = cache
-        self.workers = workers
         #: engine passes actually computed (cache-served requests excluded).
         self.passes = 0
         #: one long-lived runner per grid config, so its evaluation-view memo
@@ -286,7 +278,6 @@ class VectorizedBackend:
             evaluation,
             rng=request.seed,
             corelet_network=network,
-            workers=self.workers,
         )
         if runner.cache.hits == cache_hits_before:
             self.passes += 1
@@ -384,11 +375,12 @@ def _deploy_and_encode(
 
     Each repeat clones its pristine generator (see
     :func:`repro.utils.rng.clone_rng`), deploys ``max_copies`` copies,
-    encodes ``max(spf_levels)`` frames and — stochastic mode — draws its
-    copies' LFSR seeds, in that order, so every pass (and every worker of a
-    sharded pass) replays identical streams.  The frames of a smaller spf
-    are a prefix of the encoded volume, which is what lets one run serve
-    every level (level readout, see :mod:`repro.mapping.pipeline`).
+    draws its copies' LFSR seeds (stochastic mode only) and encodes
+    ``max(spf_levels)`` frames, in that order, so every pass replays
+    identical streams.  Neither the deployment nor the seeds depend on
+    the number of frames, and the frames of a smaller spf are a prefix of
+    the encoded volume, which is what lets one run serve every level
+    (level readout, see :mod:`repro.mapping.pipeline`).
 
     Returns ``(copies, volumes, copy_seeds)``: the ``repeats * max_copies``
     copies repeat-major, the grouped ``(repeats, batch, ticks, inputs)``
@@ -400,30 +392,29 @@ def _deploy_and_encode(
     volumes: List[np.ndarray] = []
     copy_seeds: Optional[List[int]] = [] if stochastic else None
     for rng in repeat_rngs:
-        level_rng = clone_rng(rng)
+        repeat_rng = clone_rng(rng)
         copies.extend(
             deploy_with_copies(
-                model, copies=max_copies, rng=level_rng, corelet_network=network
+                model, copies=max_copies, rng=repeat_rng, corelet_network=network
             ).copies
         )
-        frames = encoder.encode(features, rng=level_rng)
-        volumes.append(np.ascontiguousarray(frames.transpose(1, 0, 2)))
         if copy_seeds is not None:
-            # Drawn after deployment and encoding so deterministic requests
-            # keep their exact historical streams.  The draw depends on how
-            # many frames were encoded, which is why stochastic requests
-            # take one pass per spf level.  Sampled *without* replacement —
-            # the LFSR seed space is only 16 bits, and two copies sharing a
-            # seed would replay byte-identical streams, silently collapsing
-            # the copies-averaging statistic the sweep measures.  (Repeats
-            # may collide with each other — they always could, being
-            # independent draws.)
+            # Drawn before encoding, so the seeds are the same at every spf
+            # level, and only in stochastic mode, so deterministic requests
+            # keep their exact historical streams.  Sampled *without*
+            # replacement — the LFSR seed space is only 16 bits, and two
+            # copies sharing a seed would replay byte-identical streams,
+            # silently collapsing the copies-averaging statistic the sweep
+            # measures.  (Repeats may collide with each other — they always
+            # could, being independent draws.)
             copy_seeds.extend(
                 int(seed)
-                for seed in level_rng.choice(
+                for seed in repeat_rng.choice(
                     np.arange(1, 2**16), size=max_copies, replace=False
                 )
             )
+        frames = encoder.encode(features, rng=repeat_rng)
+        volumes.append(np.ascontiguousarray(frames.transpose(1, 0, 2)))
     return copies, np.stack(volumes), copy_seeds
 
 
@@ -479,12 +470,11 @@ def _evaluate_chip_level(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """One chip pass: ``spf_levels`` read off one max-spf run, repeats folded.
 
-    Module-level (not a method) so :func:`repro.eval.runner.parallel_map`
-    can pickle it into worker processes.  The ``repeats * max_copies``
-    copies of all repeats are programmed side by side into **one** chip
-    image and the stacked per-repeat input volumes ride the chip's
-    grouped-input form (repeat ``r``'s volume feeds exactly its block of
-    ``max_copies`` copy rows); every level is read off the one run.
+    The ``repeats * max_copies`` copies of all repeats are programmed side
+    by side into **one** chip image and the stacked per-repeat input
+    volumes ride the chip's grouped-input form (repeat ``r``'s volume
+    feeds exactly its block of ``max_copies`` copy rows); every level is
+    read off the one run.
 
     Returns ``(counts, counters)`` with ``counts`` shaped
     ``(len(spf_levels), repeats, max_copies, batch, classes)`` (integer
@@ -533,27 +523,21 @@ class ChipBackend:
     (copies, spf, repeats) stochastic sweeps run at batch speed with
     hardware semantics.
 
-    Full grids (``spf_grids`` capability) are planned from the request.  A
-    deterministic request takes **one pass for all spf levels**: the pass
-    runs ``max(spf_levels)`` input ticks and reads each level off the run
+    Full grids (``spf_grids`` capability) take **one pass for all spf
+    levels**, stochastic synapses included: the pass runs
+    ``max(spf_levels)`` input ticks and reads each level off the run
     (level readout, exact because every route on one chip has the same
-    latency — see :mod:`repro.mapping.pipeline`).  A stochastic-synapse
-    request takes **one pass per spf level**, because its per-copy LFSR
-    seeds are drawn after encoding and so differ per level.  Per-level
-    passes are independent — each re-consumes the pristine per-repeat
-    generators (:func:`repro.utils.rng.clone_rng`) — and ``workers=N``
-    fans them over worker processes (:func:`repro.eval.runner.parallel_map`),
-    bit-identical at any worker count.  Copy and repeat levels fall out of
-    one pass: copy levels are nested prefixes via an exact integer cumsum
-    over the per-copy readout counts, repeats are independent rows of the
-    folded image.  Scores are the class-mean convention ``counts / n_k``
-    shared by every backend, so they equal the functional backends' scores
-    bit for bit — the cross-backend invariant the property tests assert.
+    latency — see :mod:`repro.mapping.pipeline`).  A stochastic level is
+    exact too: the LFSR seeds are drawn before encoding, and the LFSRs
+    draw a fixed number of samples per tick whatever the input.  Copy and
+    repeat levels fall out of the same pass: copy levels are nested
+    prefixes via an exact integer cumsum over the per-copy readout counts,
+    repeats are independent rows of the folded image.  Scores are the
+    class-mean convention ``counts / n_k`` shared by every backend, so
+    they equal the functional backends' scores bit for bit — the
+    cross-backend invariant the property tests assert.
 
     Args:
-        workers: fan per-level (stochastic) passes over N processes
-            (``None`` = in-process, sequential); a one-pass grid runs
-            in-process.
         cores_per_chip: advertised core budget of the one simulated chip
             (default: a stock TrueNorth chip's 64x64 grid).  Requests whose
             ``max_copies x cores_per_network`` footprint overflows it are
@@ -564,12 +548,7 @@ class ChipBackend:
 
     name = "chip"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        cores_per_chip: Optional[int] = None,
-    ) -> None:
-        self.workers = workers
+    def __init__(self, cores_per_chip: Optional[int] = None) -> None:
         self.cores_per_chip = (
             int(cores_per_chip)
             if cores_per_chip is not None
@@ -582,9 +561,8 @@ class ChipBackend:
             name=self.name,
             description=(
                 "batched cycle-accurate TrueNorth simulation (repeat-folded "
-                "multi-copy chip images, deterministic grids read off one "
-                "max-spf pass, spike counters, router delay, stochastic "
-                "synapses)"
+                "multi-copy chip images, every grid read off one max-spf "
+                "pass, spike counters, router delay, stochastic synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
@@ -598,28 +576,18 @@ class ChipBackend:
         evaluation = request.evaluation_dataset()
         network = build_corelets(request.model)
         self.passes += 1
-        repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
-        results = parallel_map(
-            _evaluate_chip_level,
-            [
-                (
-                    request.model,
-                    evaluation.features,
-                    levels,
-                    repeat_rngs,
-                    network,
-                    request.max_copies,
-                    request.stochastic_synapses,
-                    request.collect_spike_counters,
-                    request.router_delay,
-                )
-                for levels in _level_groups(
-                    request.spf_levels, not request.stochastic_synapses
-                )
-            ],
-            self.workers,
+        result = _evaluate_chip_level(
+            request.model,
+            evaluation.features,
+            request.spf_levels,
+            spawn_rngs(new_rng(request.seed), request.repeats),
+            network,
+            request.max_copies,
+            request.stochastic_synapses,
+            request.collect_spike_counters,
+            request.router_delay,
         )
-        return _grid_result(request, self.name, results, evaluation, network)
+        return _grid_result(request, self.name, [result], evaluation, network)
 
 
 def _evaluate_board_pass(
@@ -633,23 +601,17 @@ def _evaluate_board_pass(
     collect_counters: bool,
     router_delay: Optional[int],
     board_config: BoardConfig,
-    segment_indices: Optional[Tuple[int, ...]] = None,
+    placement: BoardPlacement,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One board pass (of one placement segment), all ``spf_levels``.
+    """One board pass, all ``spf_levels`` read off one max-spf run.
 
-    Module-level so :func:`repro.eval.runner.parallel_map` can pickle it
-    into worker processes.  The inputs are :func:`_evaluate_chip_level`'s
-    — the same repeat-folded deployments, volumes and LFSR seeds — so a 1x1
-    board with ideal links reproduces the chip backend bit for bit.  The
-    ``repeats * max_copies`` copies fold onto the ``max_copies`` placement
-    (each chip image stacks every repeat's instances of its placed copies),
-    the grouped volume feeds every chip, and every level is read off the
-    one run (level readout, see :mod:`repro.mapping.pipeline`).
-
-    ``segment_indices`` restricts programming (and hence simulation) to a
-    subset of the deterministic placement's segments at their original
-    board chip indices; the returned counts/counters are zero outside the
-    segment's copies, so a fan-out over all segments merges by summation.
+    The inputs are :func:`_evaluate_chip_level`'s — the same repeat-folded
+    deployments, volumes and LFSR seeds — so a 1x1 board with ideal links
+    reproduces the chip backend bit for bit.  The ``repeats * max_copies``
+    copies fold onto the ``max_copies`` ``placement`` (each chip image
+    stacks every repeat's instances of its placed copies), the grouped
+    volume feeds every chip, and every level is read off the one run
+    (level readout, see :mod:`repro.mapping.pipeline`).
 
     Returns ``(counts, counters)`` shaped as :func:`_evaluate_chip_level`'s.
     """
@@ -661,8 +623,7 @@ def _evaluate_board_pass(
         board_config,
         neuron_config=stochastic_neuron_config(network) if stochastic else None,
         router_delay=router_delay,
-        placement=place_on_board(network, max_copies, board_config),
-        segment_indices=segment_indices,
+        placement=placement,
     )
     counts = run_board_inference_multicopy(
         board, copies, program, volumes, copy_seeds=copy_seeds, levels=spf_levels
@@ -689,22 +650,17 @@ class BoardBackend:
     stacking every repeat's instances of its placed copies, and the
     grouped per-repeat volume feeds every chip.
 
-    The spf levels are planned as on the chip.  A deterministic request
-    reads **all levels off one pass** when every spike path has one
-    latency: ``link_delay == 0``, or no copy is split (whole copies never
-    touch a link).  Stochastic-synapse requests, and split copies at
-    ``link_delay > 0`` — whose paths differ in hop count, so one run mixes
-    spike waves of different input ticks — take **one pass per spf
-    level**.  On a 1x1 board with ideal links each pass is bit-identical
-    to the single-chip engine, which transfers the chip backend's
-    equivalence guarantees to the board (the property tests pin it).
-
-    ``workers=N`` shards every pass over its placement segments — one
-    worker process per segment (per simulated chip group), each
-    re-deploying the pass's copies from the same cloned generators and
-    programming only its own segment at the original board indices; the
-    per-copy results merge by summation at the readout, bit-identically
-    at any worker count.
+    The spf levels are planned as on the chip.  A request, stochastic
+    synapses included, reads **all levels off one pass** when every spike
+    path has one latency: ``link_delay == 0``, or no copy is split (whole
+    copies never touch a link).  Split copies at ``link_delay > 0`` —
+    whose paths differ in hop count, so one run mixes spike waves of
+    different input ticks — take **one pass per spf level**, each
+    replaying the pristine per-repeat generators
+    (:func:`repro.utils.rng.clone_rng`).  On a 1x1 board with ideal links
+    each pass is bit-identical to the single-chip engine, which transfers
+    the chip backend's equivalence guarantees to the board (the property
+    tests pin it).
 
     Args:
         chip_config: configuration of every chip on the board (default: a
@@ -717,8 +673,6 @@ class BoardBackend:
         link_delay: default mesh link delay (ticks per chip hop) when the
             request does not carry one; ``EvalRequest.link_delay``
             overrides it per request.
-        workers: fan each pass's placement segments over N processes
-            (``None`` = in-process, sequential).
     """
 
     name = "board"
@@ -728,14 +682,12 @@ class BoardBackend:
         chip_config: Optional[ChipConfig] = None,
         board_shape: Optional[Tuple[int, int]] = None,
         link_delay: int = 0,
-        workers: Optional[int] = None,
     ) -> None:
         if link_delay < 0:
             raise ValueError(f"link_delay must be >= 0, got {link_delay}")
         self.chip_config = chip_config or ChipConfig()
         self.board_shape = board_shape
         self.link_delay = int(link_delay)
-        self.workers = workers
         self.passes = 0
 
     def capabilities(self) -> BackendCapabilities:
@@ -779,9 +731,8 @@ class BoardBackend:
         evaluation = request.evaluation_dataset()
         network = build_corelets(request.model)
         board_config = self._board_config(network, request)
-        # The placement is a pure function of (network, copies, board): it
-        # tells whether a copy is split, and the parent and every worker
-        # compute the same segments.
+        # The placement tells whether a copy is split, and every pass
+        # programs it.
         try:
             placement = place_on_board(network, request.max_copies, board_config)
         except RuntimeError as error:
@@ -795,20 +746,8 @@ class BoardBackend:
             ) from error
         self.passes += 1
         repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
-        level_groups = _level_groups(
-            request.spf_levels,
-            paths_share_one_latency(placement, board_config.link_delay)
-            and not request.stochastic_synapses,
-        )
-        segment_lists: List[Optional[Tuple[int, ...]]]
-        if self.workers is None:
-            segment_lists = [None]
-        else:
-            segment_lists = [
-                (index,) for index in range(len(placement.segments))
-            ]
-        tasks = [
-            (
+        results = [
+            _evaluate_board_pass(
                 request.model,
                 evaluation.features,
                 levels,
@@ -819,22 +758,13 @@ class BoardBackend:
                 request.collect_spike_counters,
                 request.router_delay,
                 board_config,
-                segments,
+                placement,
             )
-            for levels in level_groups
-            for segments in segment_lists
+            for levels in _level_groups(
+                request.spf_levels,
+                paths_share_one_latency(placement, board_config.link_delay),
+            )
         ]
-        shards = parallel_map(_evaluate_board_pass, tasks, self.workers)
-        # Merge each pass's segments by summation (each is zero outside its
-        # own copies); passes come back level-group-major.
-        per_pass = len(segment_lists)
-        results: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
-        for base in range(0, len(shards), per_pass):
-            parts = shards[base : base + per_pass]
-            counters = None
-            if parts[0][1] is not None:
-                counters = np.sum([part[1] for part in parts], axis=0)
-            results.append((np.sum([part[0] for part in parts], axis=0), counters))
         return _grid_result(request, self.name, results, evaluation, network)
 
 

@@ -28,11 +28,14 @@ Canonical randomness
 All backends draw from the same stream layout so results are comparable
 across them: ``spawn_rngs(new_rng(seed), repeats)`` yields one generator
 per repeat; each repeat deploys ``max(copy_levels)`` copies from that
-generator and then encodes the input spikes from its advanced state.  Two
-backends given the same request therefore sample identical connectivities
-and identical spike volumes — which is what makes the cross-backend
-equivalence invariant (the same readout spike counts, hence bit-identical
-scores and accuracy, on every backend) testable at ``atol=0``.
+generator and then encodes the input spikes from its advanced state.  A
+stochastic-synapse request draws its per-copy LFSR seeds in between,
+after deployment and before encoding, so the seeds do not depend on the
+number of frames encoded.  Two backends given the same request
+therefore sample identical connectivities and identical spike volumes —
+which is what makes the cross-backend equivalence invariant (the same
+readout spike counts, hence bit-identical scores and accuracy, on every
+backend) testable at ``atol=0``.
 """
 
 from __future__ import annotations

@@ -65,11 +65,12 @@ from repro.eval.runner import ScoreCache, dataset_fingerprint, model_fingerprint
 #: Sentinel for capability-based backend selection.
 AUTO = "auto"
 
-#: File-name prefix of the result store's entries, whose scores are exact
-#: class means (``counts / n_k``) on every backend.  Older ``result-*.npz``
-#: files may hold float-summed functional scores, which the wire refuses to
-#: send, so they are neither read nor pruned.
-_ENTRY_PREFIX = "exact-"
+#: File-name prefix of the result store's entries.  Files of any other
+#: prefix are neither read nor pruned: ``result-*.npz`` files may hold
+#: float-summed functional scores, which the wire refuses to send, and
+#: ``exact-*.npz`` files hold stochastic-synapse realizations from before
+#: the LFSR copy seeds were drawn ahead of encoding.
+_ENTRY_PREFIX = "v3-"
 
 
 @dataclass
@@ -171,11 +172,11 @@ class ResultMemo:
     (outside the lock) into the memory LRU before the cover check, so a
     fresh process on the same directory — a restarted replica, or a
     survivor taking over a dead one's traffic — is warm without running
-    anything.  Entries are ``exact-<sha256>.npz``; files of any other
-    name are neither read nor pruned.  Files are written to a temporary
-    name and moved into place with ``os.replace``, so concurrent readers
-    (threads or processes) see either nothing or a complete entry.  A
-    torn, unreadable, or key-mismatched file is a miss, files load with
+    anything.  Entries are ``_ENTRY_PREFIX`` + ``<sha256>.npz``; files of
+    any other name are neither read nor pruned.  Files are written to a
+    temporary name and moved into place with ``os.replace``, so concurrent
+    readers (threads or processes) see either nothing or a complete entry.
+    A torn, unreadable, or key-mismatched file is a miss, files load with
     pickle disabled, and a failed write (a full disk) is counted, never
     raised.  With
     ``max_bytes`` set every write evicts least-recently-used files —
@@ -438,11 +439,6 @@ class Session:
             to select by request capability).
         cache: in-memory score cache for the vectorized backend (``None``
             shares the process-global cache).
-        workers: fan independent passes over N processes (vectorized:
-            per-repeat passes; chip: per-spf-level passes of
-            stochastic-synapse grids, since a deterministic grid is one
-            pass; board: the same per-level passes, those of split copies
-            at ``link_delay > 0``, and placement segments).
         result_memo: result-level memo consulted (and filled) by
             :meth:`flush` for deterministic requests on *every* backend;
             share one :class:`ResultMemo` across sessions to share served
@@ -456,7 +452,6 @@ class Session:
         self,
         backend: str = AUTO,
         cache: Optional[ScoreCache] = None,
-        workers: Optional[int] = None,
         result_memo: Optional[ResultMemo] = None,
     ):
         if backend != AUTO and backend not in backend_names():
@@ -466,7 +461,6 @@ class Session:
             )
         self.default_backend = backend
         self.cache = cache
-        self.workers = workers
         self.result_memo = result_memo
         self.stats = SessionStats(_session=self)
         self._backends: Dict[str, object] = {}
@@ -506,11 +500,7 @@ class Session:
         """The (lazily created, cached) backend instance for ``name``."""
         if name not in self._backends:
             if name == "vectorized":
-                self._backends[name] = create_backend(
-                    name, cache=self.cache, workers=self.workers
-                )
-            elif name in ("chip", "board"):
-                self._backends[name] = create_backend(name, workers=self.workers)
+                self._backends[name] = create_backend(name, cache=self.cache)
             else:
                 self._backends[name] = create_backend(name)
         # The registry is duck-typed (factories return object); every
@@ -724,16 +714,17 @@ class Session:
         """
         if request.seed is None:
             return None
-        # Every built-in backend now serves multi-spf grids (the chip runs
-        # one folded pass per level), so grid-capable backends group on the
-        # spf *maximum*: the chip's levels are mutually independent passes
-        # and the union's extra levels cannot perturb a member's slice.
-        # Keying on max_spf (not the union) also keeps spike counters
-        # consistent — the chip reports them at the largest level, which is
-        # then the same level for every member of the group.  A non-grid
-        # out-of-tree backend still must only group identical spf tuples,
-        # or the union request could become multi-spf and fail where each
-        # member alone would not.
+        # Every built-in backend serves multi-spf grids, so grid-capable
+        # backends group on the spf *maximum*: every level is a prefix read
+        # off the same max-spf pass (or, for split board copies at
+        # link_delay > 0, a pass of its own equal to the standalone
+        # request), so the union's extra levels cannot perturb a member's
+        # slice.  Keying on max_spf (not the union) also keeps spike
+        # counters consistent — the cycle-accurate backends report them at
+        # the largest level, which is then the same level for every member
+        # of the group.  A non-grid out-of-tree backend still must only
+        # group identical spf tuples, or the union request could become
+        # multi-spf and fail where each member alone would not.
         if self.capabilities(backend_name).spf_grids:
             spf_key = request.max_spf
         else:

@@ -47,22 +47,19 @@ the requested copies of *all repeats* are programmed side by side
 (stacked per-core crossbar tensors, per-copy LFSR streams; each repeat
 block carries its own deployment and input volume through the chip's
 grouped-input form) and advance as one ``repeats x copies x batch``
-lock-step pass.  A deterministic ``(copies, spf, repeats)`` grid costs
-**one** chip pass: it runs ``max(spf_levels)`` ticks and reads every spf
-level off the run (the frames of a smaller spf are a prefix of the
-larger one's, and every route on a chip has one latency — see
-:mod:`repro.mapping.pipeline`).  Stochastic-synapse grids take one pass
-per spf level, because their per-copy LFSR seeds are drawn after
-encoding.  Use it for any cycle-accurate request, including multi-spf
-grids and ``stochastic_synapses`` sweeps; copy and repeat levels are
-exact integer cumsum prefixes of the one pass, bit-identical to the
-per-(spf, repeat) loop.  The board backend programs every board chip as
-the same kind of image and folds repeats the same way.
-``Session(workers=N)`` additionally fans the per-level passes of
-stochastic grids over worker processes (vectorized requests shard over
-repeats instead; both are bit-identical at any worker count — see
-:func:`repro.eval.runner.parallel_map`).  The property tests pin the
-image against the scalar per-sample chip path
+lock-step pass.  A ``(copies, spf, repeats)`` grid, stochastic synapses
+included, costs **one** chip pass: it runs ``max(spf_levels)`` ticks and
+reads every spf level off the run (the frames of a smaller spf are a
+prefix of the larger one's, the per-copy LFSR seeds are drawn before
+encoding, and every route on a chip has one latency — see
+:mod:`repro.mapping.pipeline`).  Use it for any cycle-accurate request,
+including multi-spf grids and ``stochastic_synapses`` sweeps; copy and
+repeat levels are exact integer cumsum prefixes of the one pass,
+bit-identical to the per-(spf, repeat) loop.  The board backend programs
+every board chip as the same kind of image and folds repeats the same
+way; only split board copies at ``link_delay > 0`` take one pass per spf
+level.  Every pass runs in-process.  The property tests pin the image
+against the scalar per-sample chip path
 (:func:`repro.mapping.pipeline.run_chip_inference`).
 """
 

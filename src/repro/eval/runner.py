@@ -16,12 +16,7 @@ the pieces together on top of :class:`repro.eval.engine.VectorizedEvaluator`:
   in-memory results cache keyed by ``(model fingerprint, copies, spf,
   seed)``, which the experiment drivers share when they re-sweep the same
   trained model (e.g. Figure 7 feeding Figure 8, or Figure 9(a) probing
-  several spf levels of the same Table 2 procedure);
-* with ``workers=N``, :meth:`SweepRunner.run` fans the independent
-  per-repeat deployment+evaluation passes over a ``ProcessPoolExecutor``.
-  The child generators are spawned in the parent exactly as the serial path
-  spawns them, so parallel results are bit-identical to serial ones and land
-  in the same cache.
+  several spf levels of the same Table 2 procedure).
 
 Results that must outlive the process — across restarts, or shared by
 several processes — persist in the one result store of every backend,
@@ -36,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -199,39 +193,6 @@ class ScoreCache:
 GLOBAL_SCORE_CACHE = ScoreCache(max_entries=16)
 
 
-def parallel_map(
-    fn: Callable[..., object],
-    argument_tuples: Sequence[Tuple],
-    workers: Optional[int],
-) -> List:
-    """Map a picklable function over argument tuples, optionally in processes.
-
-    The shared fan-out primitive of the evaluation layer: with ``workers=N``
-    (N > 1) and more than one work item, the calls run on a
-    ``ProcessPoolExecutor`` capped at ``min(workers, len(items))``;
-    otherwise they run serially in-process.  Results come back in submission
-    order either way, so callers are bit-identical under any worker count —
-    all randomness must enter through the argument tuples (generators
-    spawned in the parent), never be drawn in the children.
-
-    Which axis to shard over is the caller's choice of work unit:
-    :class:`SweepRunner` fans out *repeats* (each repeat is one independent
-    deployment + vectorized pass; every (copies, spf) cell is a nested
-    prefix of its repeat's tensor).  The chip and board backends fold all
-    repeats into the stacked copy axis and read a deterministic grid's spf
-    levels off one pass, so only their per-level passes — stochastic-synapse
-    requests, whose LFSR seeds differ per level, and split board copies at
-    ``link_delay > 0`` — fan out; the board also fans out each pass's
-    placement segments.
-    """
-    items = list(argument_tuples)
-    if workers is not None and workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            futures = [pool.submit(fn, *args) for args in items]
-            return [future.result() for future in futures]
-    return [fn(*args) for args in items]
-
-
 def _evaluate_repeat(
     model: TrueNorthModel,
     features: np.ndarray,
@@ -241,11 +202,10 @@ def _evaluate_repeat(
     repeat_rng: np.random.Generator,
     corelet_network: CoreletNetwork,
 ) -> np.ndarray:
-    """One repeat's cumulative score tensor (module-level for picklability).
+    """One repeat's cumulative score tensor.
 
-    This is the unit of work the worker pool distributes: one independent
-    deployment (``max_copies`` sampled connectivities) plus one evaluation
-    pass, consuming ``repeat_rng`` exactly as the serial loop does.
+    One independent deployment (``max_copies`` sampled connectivities) plus
+    one evaluation pass, consuming ``repeat_rng`` in that order.
     """
     deployment = deploy_with_copies(
         model, copies=max_copies, rng=repeat_rng, corelet_network=corelet_network
@@ -325,7 +285,6 @@ class SweepRunner:
         dataset: Dataset,
         rng: RngLike = None,
         corelet_network: Optional[CoreletNetwork] = None,
-        workers: Optional[int] = None,
     ) -> List[np.ndarray]:
         """Per-repeat cumulative score tensors of the largest configuration.
 
@@ -335,12 +294,8 @@ class SweepRunner:
         deployment.  Served from the in-memory cache when the same (model,
         grid, seed) was evaluated before.
 
-        With ``workers=N`` the independent per-repeat passes (each one full
-        deployment + evaluation; every (copies, spf) grid cell is a nested
-        prefix of its repeat's tensor, so repeats are the parallel unit) are
-        fanned over a ``ProcessPoolExecutor``.  The child generators are
-        spawned in the parent exactly as the serial loop spawns them, so the
-        results are bit-identical to ``workers=None``.
+        Each repeat is one independent deployment plus one evaluation pass
+        (:func:`_evaluate_repeat`) on its own spawned generator.
         """
         evaluation = self._evaluation_view(dataset)
         max_copies = self.copy_levels[-1]
@@ -363,23 +318,18 @@ class SweepRunner:
             if cached is not None:
                 return cached
         network = corelet_network or build_corelets(model)
-        repeat_rngs = spawn_rngs(new_rng(rng), self.repeats)
-        tensors = parallel_map(
-            _evaluate_repeat,
-            [
-                (
-                    model,
-                    evaluation.features,
-                    max_copies,
-                    max_spf,
-                    self.chunk_frames,
-                    repeat_rng,
-                    network,
-                )
-                for repeat_rng in repeat_rngs
-            ],
-            workers,
-        )
+        tensors = [
+            _evaluate_repeat(
+                model,
+                evaluation.features,
+                max_copies,
+                max_spf,
+                self.chunk_frames,
+                repeat_rng,
+                network,
+            )
+            for repeat_rng in spawn_rngs(new_rng(rng), self.repeats)
+        ]
         if key is not None:
             self.cache.put(key, tensors)
         return tensors
@@ -391,20 +341,14 @@ class SweepRunner:
         rng: RngLike = None,
         label: str = "",
         corelet_network: Optional[CoreletNetwork] = None,
-        workers: Optional[int] = None,
     ):
-        """Full grid sweep; returns a :class:`repro.eval.sweep.SweepResult`.
-
-        ``workers=N`` distributes the per-repeat evaluation passes over N
-        processes (see :meth:`cumulative_scores`); results are bit-identical
-        to the serial path and merge into the same caches.
-        """
+        """Full grid sweep; returns a :class:`repro.eval.sweep.SweepResult`."""
         from repro.eval.sweep import SweepResult
 
         evaluation = self._evaluation_view(dataset)
         labels = evaluation.labels
         tensors = self.cumulative_scores(
-            model, dataset, rng=rng, corelet_network=corelet_network, workers=workers
+            model, dataset, rng=rng, corelet_network=corelet_network
         )
         accuracy_samples = np.zeros(
             (self.repeats, len(self.copy_levels), len(self.spf_levels)),

@@ -916,13 +916,10 @@ class BoardProgram:
 
     Attributes:
         placement: the board placement the program realizes.
-        segment_indices: indices into ``placement.segments`` that were
-            programmed (a serve worker programs only its segment).
         images: ``chip index -> ChipImage`` of every programmed chip.
     """
 
     placement: BoardPlacement
-    segment_indices: Tuple[int, ...]
     images: Dict[int, ChipImage] = field(default_factory=dict)
 
 
@@ -932,7 +929,6 @@ def program_board_multicopy(
     neuron_config: Optional[NeuronConfig] = None,
     router_delay: Optional[int] = None,
     placement: Optional[BoardPlacement] = None,
-    segment_indices: Optional[Sequence[int]] = None,
 ) -> Tuple[Board, BoardProgram]:
     """Program a multi-chip board holding ``len(copies)`` sampled copies.
 
@@ -965,10 +961,6 @@ def program_board_multicopy(
         placement: a precomputed placement of ``P`` copies, ``P`` dividing
             ``len(copies)`` (defaults to ``place_on_board(network,
             len(copies), board_config)``).
-        segment_indices: placement segments to program (default: all).  A
-            serve worker programs only its segment's chips — at their
-            original board indices, so link distances and delays are
-            identical to the monolithic board.
 
     Returns:
         ``(board, program)``.
@@ -987,15 +979,10 @@ def program_board_multicopy(
             f"{len(copies)} copies do not fold onto a placement of {placed} "
             "copies"
         )
-    if segment_indices is None:
-        segment_indices = tuple(range(len(placement.segments)))
     board = Board(board_config)
     _set_router_delay(board.chips, router_delay)
-    program = BoardProgram(
-        placement=placement, segment_indices=tuple(int(i) for i in segment_indices)
-    )
-    for segment_index in program.segment_indices:
-        segment = placement.segments[segment_index]
+    program = BoardProgram(placement=placement)
+    for segment in placement.segments:
         held = tuple(
             group * placed + copy
             for group in range(len(copies) // placed)
@@ -1031,8 +1018,8 @@ def _board_flush_bound(board: Board, program: BoardProgram, network) -> int:
     )
     link_delay = board.config.link_delay
     bound = 0
-    for index in program.segment_indices:
-        for copy in program.placement.segments[index].copies:
+    for segment in program.placement.segments:
+        for copy in segment.copies:
             distances = program.placement.transition_chip_distances(copy)
             bound = max(bound, sum(delay + link_delay * d for d in distances))
     return bound
@@ -1088,9 +1075,7 @@ def run_board_inference_multicopy(
     Returns:
         per-copy, per-sample class counts ``(len(copies), batch,
         num_classes)``, dtype int64, with a leading ``len(levels)`` axis
-        when ``levels`` is given.  When the program covers only some
-        segments (serve sharding), rows of copies outside the programmed
-        segments are zero.
+        when ``levels`` is given.
 
     Raises:
         ValueError: when several levels are asked of a board whose paths
@@ -1195,8 +1180,7 @@ def board_spike_counters(
     Returns ``(len(copies), cores_per_copy, batch)`` int64 with cores in
     flat layer-major corelet order — the same layout the chip backend
     reads from :attr:`NeurosynapticCore.multicopy_spike_counts`, so the
-    1x1-board counters compare bit-for-bit.  Rows of copies outside the
-    programmed segments are zero.
+    1x1-board counters compare bit-for-bit.
     """
     chips = [board.chips[i] for i in program.images]
     if not chips or any(chip.batch_size is None for chip in chips):

@@ -37,8 +37,8 @@ def clone_rng(rng: np.random.Generator) -> np.random.Generator:
     each chip or board pass replays every repeat's generator from its
     pristine spawned state, so deployments are identical across passes and
     each pass draws exactly what a standalone request would have drawn
-    (a grid's per-level passes, or a one-pass grid and its single-level
-    requests).
+    (a one-pass grid and its single-level requests, or the per-level
+    passes of split board copies at ``link_delay > 0``).
     """
     clone = np.random.Generator(type(rng.bit_generator)())
     clone.bit_generator.state = rng.bit_generator.state

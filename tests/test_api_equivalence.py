@@ -13,7 +13,9 @@ These are property tests over grids and seeds on tiny trained models of
 test benches 1 and 5 (two layers, where float-summed class means used to
 differ from the chip's in the last bits), plus the Figure 7 acceptance
 check: flipping the driver's ``backend=`` config between ``"vectorized"``
-and ``"reference"`` changes nothing in the scores.
+and ``"reference"`` changes nothing in the scores.  On test bench 5 a
+stochastic-synapse grid, read off one max-spf chip or board pass, also
+equals each of its levels requested alone.
 """
 
 import numpy as np
@@ -22,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EvalRequest, Session
+from repro.api.backends import BoardBackend, ChipBackend
 from repro.eval.runner import ScoreCache
+from repro.truenorth.config import ChipConfig
 
 _MODEL = {}
 
@@ -147,6 +151,42 @@ def test_chip_multilayer_counts_match_vectorized(testbench_5):
         assert np.array_equal(
             cycle_accurate.class_counts(), vectorized.class_counts()
         )
+
+
+@pytest.mark.parametrize("router_delay", [None, 2])
+def test_multilayer_stochastic_grid_matches_single_level_requests(
+    testbench_5, router_delay
+):
+    """A stochastic spf grid on test bench 5 is its standalone levels.
+
+    Two layers put the level readout at step ``s - 1 + delay``: a level
+    sees only spikes of input ticks below ``s``, and the per-copy LFSR
+    seeds are drawn before encoding, so one max-spf pass serves every
+    level.  Checked on the chip, a whole-copy board, and a board whose
+    split copies hand spikes over ideal links (``link_delay=0``).
+    """
+    model, dataset = testbench_5
+    request = EvalRequest(
+        model=model,
+        dataset=dataset,
+        copy_levels=(1, 2),
+        spf_levels=(1, 2, 3),
+        repeats=2,
+        seed=5,
+        stochastic_synapses=True,
+        collect_spike_counters=True,
+        router_delay=router_delay,
+    )
+    cores = model.architecture.cores_per_network
+    half = ChipConfig(grid_shape=(1, (cores + 1) // 2))
+    for backend in (ChipBackend(), BoardBackend(), BoardBackend(chip_config=half)):
+        grid = backend.evaluate(request)
+        for column, spf in enumerate(request.spf_levels):
+            single = backend.evaluate(request.with_levels((1, 2), (spf,)))
+            assert np.array_equal(
+                grid.class_counts()[:, :, column], single.class_counts()[:, :, 0]
+            ), (backend.name, spf)
+        assert np.array_equal(grid.spike_counters, single.spike_counters)
 
 
 # ----------------------------------------------------------------------

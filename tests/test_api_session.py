@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.api import EvalRequest, ResultMemo, Session, UnsupportedRequestError
-from repro.api.session import _slice_result
+from repro.api.session import _ENTRY_PREFIX, _slice_result
 from repro.eval.runner import ScoreCache
 
 
@@ -238,7 +238,7 @@ def test_session_threads_disk_cache_into_vectorized_backend(trained, tmp_path):
         backend="vectorized", result_memo=ResultMemo(cache_dir=str(tmp_path))
     )
     first = session.evaluate(_request(trained))
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("exact-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith(_ENTRY_PREFIX)]
     assert len(entries) == 1
 
     # A second session over the same directory is served from disk without
@@ -258,10 +258,10 @@ def test_session_cache_max_bytes_reaches_runner(trained, tmp_path):
     session = _session(backend="vectorized", result_memo=memo)
     session.evaluate(_request(trained))
     # The bound is enforced on write; only the newest entry survives.
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("exact-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith(_ENTRY_PREFIX)]
     assert len(entries) == 1
     session.evaluate(_request(trained, seed=123))
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("exact-")]
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith(_ENTRY_PREFIX)]
     assert len(entries) == 1
     assert memo.evictions == 1
 

@@ -29,7 +29,7 @@ The board subsystem's equivalence discipline, pinned at ``atol=0``:
   completed (or drained) run reproduces the first run exactly, link
   counters included;
 * the ``board`` backend equals the ``chip`` backend on every request the
-  chip can serve, at any worker count, and ``Session`` auto-routes
+  chip can serve, and ``Session`` auto-routes
   ``link_delay`` requests and chip-overflowing copy budgets to it.
 """
 
@@ -560,20 +560,6 @@ def test_board_backend_matches_chip_backend_stochastic(model_and_dataset):
     board_result = BoardBackend().evaluate(request)
     assert np.array_equal(
         chip_result.class_counts(), board_result.class_counts()
-    )
-
-
-def test_board_worker_sharding_is_bit_identical(model_and_dataset):
-    model, dataset = model_and_dataset
-    cores = model.architecture.cores_per_network
-    # Half-copy chips force split copies, so workers shard real segments.
-    small = ChipConfig(grid_shape=(1, max(1, (cores + 1) // 2)))
-    request = _request(model, dataset, collect_spike_counters=True)
-    monolithic = BoardBackend(chip_config=small).evaluate(request)
-    sharded = BoardBackend(chip_config=small, workers=2).evaluate(request)
-    assert np.array_equal(monolithic.scores, sharded.scores)
-    assert np.array_equal(
-        monolithic.spike_counters, sharded.spike_counters
     )
 
 

@@ -15,9 +15,9 @@ replaced, at ``atol=0``:
 * level readout — every spf level read off one max-spf run equals a
   standalone run of that many ticks, over depth 1-3, router delay 1-3,
   history-free, LIF and stochastic neurons, and grouped volumes;
-* backend level — ``ChipBackend`` and ``BoardBackend`` multi-spf grids
-  (one pass for all levels, or one per level) vs single-level requests,
-  and ``workers=2`` process fan-out over per-level (stochastic) passes;
+* backend level — ``ChipBackend`` and ``BoardBackend`` multi-spf grids,
+  deterministic and stochastic (one pass for all levels, or one per level
+  for split board copies at ``link_delay > 0``) vs single-level requests;
 * programming level — per-core-fit trimming gives heterogeneous corelets
   their own crossbar geometry in deterministic mode while stochastic
   images keep the network-uniform shape (the LFSR sample layout is a
@@ -397,25 +397,13 @@ def test_percore_fit_trims_heterogeneous_corelets():
 
 
 # ----------------------------------------------------------------------
-# backend level: grids, modes, and worker fan-out
+# backend level: grids and pass plans
 # ----------------------------------------------------------------------
-def _grid_fingerprint(result):
-    parts = [result.class_counts()]
-    if result.spike_counters is not None:
-        parts.append(result.spike_counters)
-    return parts
-
-
-def _assert_results_equal(a, b):
-    for left, right in zip(_grid_fingerprint(a), _grid_fingerprint(b)):
-        np.testing.assert_array_equal(left, right)
-
-
 def _grid_backends():
     """Every pass plan: chip, whole-copy board, and split-copy boards.
 
     Split copies fold at ``link_delay=0`` and take one pass per level at
-    ``link_delay=1``; deterministic chip and whole-copy board grids fold.
+    ``link_delay=1``; chip and whole-copy board grids fold.
     """
     cores = _MODEL["model"].architecture.cores_per_network
     half = ChipConfig(grid_shape=(1, max(1, (cores + 1) // 2)))
@@ -427,15 +415,17 @@ def _grid_backends():
     ]
 
 
+@pytest.mark.parametrize(
+    "stochastic", [False, True], ids=["deterministic", "stochastic"]
+)
 @settings(max_examples=6, deadline=None)
 @given(
     repeats=st.sampled_from([1, 2]),
-    stochastic=st.booleans(),
     counters=st.booleans(),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_backend_grid_matches_single_level_requests(
-    repeats, stochastic, counters, seed
+    stochastic, repeats, counters, seed
 ):
     """A multi-spf grid equals its levels evaluated one request at a time."""
     request = _request(
@@ -464,10 +454,11 @@ def test_backend_grid_matches_single_level_requests(
 def test_backend_pass_plan(monkeypatch):
     """Which grids fold into one pass, and which take one pass per level.
 
-    Repeats fold on the chip and the board alike, so a deterministic grid
-    takes one pass whenever every path has one latency (the chip, whole
-    board copies, or ``link_delay=0``).  Stochastic requests, and split
-    copies at ``link_delay > 0``, read one level per pass.
+    Repeats fold on the chip and the board alike, and stochastic copy
+    seeds are drawn before encoding, so a grid takes one pass whenever
+    every path has one latency (the chip, whole board copies, or
+    ``link_delay=0``).  Only split copies at ``link_delay > 0`` read one
+    level per pass.
     """
     import repro.api.backends as backends
 
@@ -485,33 +476,13 @@ def test_backend_pass_plan(monkeypatch):
     per_level = [(1,), (2,), (4,)]
     cases = [
         (ChipBackend(), {}, [grid]),
-        (ChipBackend(), {"stochastic_synapses": True}, per_level),
+        (ChipBackend(), {"stochastic_synapses": True}, [grid]),
         (BoardBackend(), {"link_delay": 1}, [grid]),
         (BoardBackend(chip_config=half), {"link_delay": 0}, [grid]),
         (BoardBackend(chip_config=half), {"link_delay": 1}, per_level),
-        (BoardBackend(), {"stochastic_synapses": True}, per_level),
+        (BoardBackend(), {"stochastic_synapses": True}, [grid]),
     ]
     for backend, fields, expected in cases:
         passes.clear()
         backend.evaluate(_request(spf_levels=grid, **fields))
         assert sorted(passes) == sorted(expected), (backend.name, fields)
-
-
-def test_backend_grid_bit_identical_with_worker_fanout():
-    """workers=2 shards per-level passes over processes without changing a bit.
-
-    Stochastic-synapse grids take one pass per spf level (deterministic
-    grids fold into one in-process pass), so this request starts a real
-    process pool.
-    """
-    request = _request(
-        spf_levels=(1, 2, 3),
-        repeats=2,
-        seed=7,
-        stochastic_synapses=True,
-        collect_spike_counters=True,
-    )
-    _assert_results_equal(
-        ChipBackend(workers=None).evaluate(request),
-        ChipBackend(workers=2).evaluate(request),
-    )

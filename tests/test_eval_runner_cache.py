@@ -1,11 +1,10 @@
-"""The persistent result store and multi-process sweeps.
+"""The persistent result store.
 
 Covers the serve-style workload gaps: results persist across sessions and
 processes through the disk tier of :class:`repro.api.ResultMemo` (one
 ``.npz`` file per coalescing key, atomic-rename writes, mtime-LRU
-bounding), and the per-repeat evaluation passes of :class:`SweepRunner`
-can fan out over a ``ProcessPoolExecutor`` without changing a single bit
-of the results.
+bounding), and the fingerprints and evaluation views that key them stay
+sound.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import EvalRequest, EvalResult, ResultMemo, Session
+from repro.api.session import _ENTRY_PREFIX
 from repro.eval.runner import ScoreCache, SweepRunner
 
 
@@ -28,16 +28,6 @@ def trained(tiny_context):
     model = tiny_context.result("tea").model
     dataset = tiny_context.evaluation_dataset()
     return model, dataset
-
-
-def _runner():
-    # A fresh in-memory cache per runner isolates each test.
-    return SweepRunner(
-        copy_levels=(1, 2),
-        spf_levels=(1, 2),
-        repeats=2,
-        cache=ScoreCache(),
-    )
 
 
 def _key(seed):
@@ -76,7 +66,7 @@ def _files(directory):
     return sorted(
         name
         for name in os.listdir(directory)
-        if name.startswith("exact-") and name.endswith(".npz")
+        if name.startswith(_ENTRY_PREFIX) and name.endswith(".npz")
     )
 
 
@@ -139,15 +129,17 @@ def test_disk_cache_entry_with_mismatched_key_is_a_miss(tmp_path):
     assert fresh.disk_hits == 0 and fresh.misses == 1
 
 
-def test_disk_cache_ignores_files_of_the_old_prefix(tmp_path):
-    """``result-*.npz`` entries of the older store may hold float-summed
-    functional scores, which the wire refuses to send: they are neither
-    read nor pruned."""
+@pytest.mark.parametrize("old_prefix", ["result-", "exact-"])
+def test_disk_cache_ignores_files_of_the_old_prefix(tmp_path, old_prefix):
+    """Entries of older stores are neither read nor pruned: ``result-*.npz``
+    files may hold float-summed functional scores, which the wire refuses
+    to send, and ``exact-*.npz`` files hold stochastic-synapse realizations
+    drawn with the LFSR copy seeds after encoding."""
     memo = ResultMemo(cache_dir=str(tmp_path))
     memo.store(_key(0), _result(0))
     new_path = memo._path(_key(0))
-    digest = os.path.basename(new_path).removeprefix("exact-")
-    old_path = os.path.join(tmp_path, "result-" + digest)
+    digest = os.path.basename(new_path).removeprefix(_ENTRY_PREFIX)
+    old_path = os.path.join(tmp_path, old_prefix + digest)
     os.replace(new_path, old_path)
     fresh = ResultMemo(cache_dir=str(tmp_path))
     assert fresh.lookup(_key(0), LEVELS) is None
@@ -302,23 +294,6 @@ def test_evaluation_view_tracks_max_samples(trained):
     assert runner._evaluation_view(dataset).sample_count == 20
     runner.max_samples = 10
     assert runner._evaluation_view(dataset).sample_count == 10
-
-
-def test_workers_bit_identical_to_serial(trained):
-    model, dataset = trained
-    serial = _runner().cumulative_scores(model, dataset, rng=7)
-    parallel = _runner().cumulative_scores(model, dataset, rng=7, workers=2)
-    assert len(serial) == len(parallel) == 2
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a, b)
-
-
-def test_workers_run_produces_identical_sweep(trained):
-    model, dataset = trained
-    serial = _runner().run(model, dataset, rng=3, label="serial")
-    parallel = _runner().run(model, dataset, rng=3, label="parallel", workers=2)
-    assert np.array_equal(serial.mean_accuracy, parallel.mean_accuracy)
-    assert np.array_equal(serial.std_accuracy, parallel.std_accuracy)
 
 
 _SUBPROCESS_SCRIPT = """

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -632,8 +633,8 @@ class _GarbledHandler(_TornHandler):
 class _TornReplica(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, canned, handler=_TornHandler):
-        super().__init__(("127.0.0.1", 0), handler)
+    def __init__(self, canned, handler=_TornHandler, port=0):
+        super().__init__(("127.0.0.1", port), handler)
         self.canned = canned
         self.port = self.server_address[1]
         self.name = f"127.0.0.1:{self.port}"
@@ -668,12 +669,19 @@ def torn_home(registry, request):
         if entry["name"] == "tea"
     )
     healthy_name = f"127.0.0.1:{healthy.port}"
-    # Rendezvous weights hash "host:port": rebind until the torn one wins.
-    for _ in range(64):
-        torn = _TornReplica(canned, handler)
-        if ReplicaRing([torn.name, healthy_name]).route(fingerprint) == torn.name:
+    # Rendezvous weights hash "host:port", so a free port wins only when
+    # its score beats the healthy replica's, and when that score is high
+    # few ports do: probe free ports without serving until one wins.
+    for _ in range(100_000):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        name = f"127.0.0.1:{port}"
+        if ReplicaRing([name, healthy_name]).route(fingerprint) == name:
             break
-        torn.close()
+    else:
+        pytest.fail('no free port makes the torn replica the home of "tea"')
+    torn = _TornReplica(canned, handler, port=port)
     try:
         yield torn, healthy
     finally:
