@@ -35,9 +35,8 @@ cache.  With ``cache_dir`` set the memo is the one persistent result
 store: results are written through to disk, so sessions in other
 processes or after a restart (``Session(result_memo=ResultMemo(
 cache_dir=...))``) serve them without an engine pass.  The serving layer
-shares one memo across its worker sessions (and, with process workers,
-consults it in the dispatching parent), which is what lets a restarted
-server answer a repeated burst without recomputation.
+shares one memo across its worker sessions, which is what lets a
+restarted server answer a repeated burst without recomputation.
 """
 
 from __future__ import annotations
@@ -653,52 +652,6 @@ class Session:
             self.result_memo.store(key, union_result)
         for member in members:
             member._result = _slice_result(union_result, member.request)
-
-    # ------------------------------------------------------------------
-    # result memoization (see ResultMemo)
-    # ------------------------------------------------------------------
-    def cached_result(
-        self, request: EvalRequest, backend: Optional[str] = None
-    ) -> Optional[EvalResult]:
-        """A memoized result for ``request``, without evaluating anything.
-
-        ``None`` when the session has no :class:`ResultMemo`, the request
-        is non-deterministic (``seed=None``), or the memo holds nothing
-        covering the request's levels.  The serving layer's process-worker
-        dispatcher uses this to answer repeated requests in the parent
-        without shipping them to a worker.
-        """
-        if self.result_memo is None:
-            return None
-        name = backend if backend is not None else self.select_backend(request)
-        key = self._coalesce_key(name, request)
-        if key is None:
-            return None
-        memoized = self.result_memo.lookup(key, request)
-        if memoized is None:
-            return None
-        return _slice_result(memoized, request)
-
-    def memoize_result(
-        self,
-        request: EvalRequest,
-        result: EvalResult,
-        backend: Optional[str] = None,
-    ) -> None:
-        """Feed an externally computed result into the session's memo.
-
-        No-op for sessions without a memo or for ``seed=None`` requests.
-        The process-worker dispatcher calls this with results computed in
-        worker processes, so the parent-side memo warms exactly as a
-        threaded worker's flush would warm it.
-        """
-        if self.result_memo is None:
-            return
-        name = backend if backend is not None else self.select_backend(request)
-        key = self._coalesce_key(name, request)
-        if key is None:
-            return
-        self.result_memo.store(key, result)
 
     # ------------------------------------------------------------------
     def _coalesce_key(

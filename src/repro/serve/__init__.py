@@ -6,15 +6,12 @@ front of the :mod:`repro.api` serving facade.
 
 * :class:`EvalServer` / :class:`EvalService` / :class:`ServeConfig` /
   :class:`ModelRegistry` — the server side (:mod:`repro.serve.server`):
-  admission-controlled bounded queue, worker pool whose per-batch
+  a statically bounded admission queue, worker threads whose per-batch
   ``Session.submit``/``flush`` drain coalesces same-fingerprint requests
   onto shared engine passes, explicit 429 + ``Retry-After`` overload
-  shedding, ``/healthz`` + ``/metrics`` introspection.  Opt-in upgrades:
-  adaptive admission toward a p95 target
-  (:mod:`repro.serve.controller`), process workers around the GIL
-  (``worker_mode="process"``), and a ``cache_dir`` that persists every
-  served result, so a restarted replica is warm without replaying
-  anything.
+  shedding, ``/healthz`` + ``/metrics`` introspection.  One opt-in: a
+  ``cache_dir`` that persists every served result, so a restarted replica
+  is warm without replaying anything.
 * :class:`FrontServer` / :class:`FrontService` / :class:`FrontConfig` —
   the fleet router (:mod:`repro.serve.front`): consistent model→replica
   routing over a rendezvous ring (:mod:`repro.serve.ring`), fleet-wide
@@ -67,9 +64,7 @@ from repro.serve.codec import (
     decode_result,
     encode_request,
     encode_result,
-    wire_payload,
 )
-from repro.serve.controller import ControllerConfig, LatencyController
 from repro.serve.front import (
     FleetUnavailableError,
     FrontConfig,
@@ -87,7 +82,6 @@ from repro.serve.server import (
 __all__ = [
     "AdmissionController",
     "CodecError",
-    "ControllerConfig",
     "EmptyRingError",
     "EvalServer",
     "EvalService",
@@ -96,7 +90,6 @@ __all__ = [
     "FrontServer",
     "FrontService",
     "Job",
-    "LatencyController",
     "ModelRegistry",
     "QueueFullError",
     "ReplicaRing",
@@ -114,5 +107,4 @@ __all__ = [
     "decode_result",
     "encode_request",
     "encode_result",
-    "wire_payload",
 ]

@@ -47,25 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="workers draining the queue"
     )
     service.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="thread workers share the GIL; process workers evaluate around it",
-    )
-    service.add_argument(
         "--queue-depth",
         type=int,
         default=64,
-        help="starting queue depth; arrivals beyond the effective depth get 429",
-    )
-    service.add_argument(
-        "--target-p95",
-        type=float,
-        default=None,
-        help=(
-            "p95 latency target in seconds for adaptive admission "
-            "(default: static queue depth)"
-        ),
+        help="queued jobs an arrival may find before it gets 429",
     )
     service.add_argument(
         "--batch-max",
@@ -192,9 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             port=args.port,
             backend=args.backend,
             workers=args.workers,
-            worker_mode=args.worker_mode,
             queue_depth=args.queue_depth,
-            target_p95=args.target_p95,
             batch_max=args.batch_max,
             request_timeout=args.request_timeout,
             cache_dir=args.cache_dir,

@@ -6,8 +6,9 @@ Babu et al. on call admission for wireless networks): the service decides
 shed with an explicit retry hint, instead of letting an unbounded backlog
 degrade every in-flight request.  The controller therefore owns
 
-* the bounded FIFO of :class:`Job` objects the worker pool drains in
+* the bounded FIFO of :class:`Job` objects the worker threads drain in
   batches (so the session layer can coalesce same-fingerprint requests),
+  shedding every arrival that finds ``max_depth`` jobs queued,
 * the request accounting the ``/metrics`` endpoint publishes, with two
   conservation invariants the CI smoke job asserts::
 
@@ -17,11 +18,10 @@ degrade every in-flight request.  The controller therefore owns
   where ``in_flight`` counts admitted jobs that are still queued or
   executing,
 * the latency window behind the published p50/p95, and
-* the :class:`~repro.serve.controller.LatencyController` that adapts the
-  *effective* queue depth toward a configurable p95 target and turns the
-  measured drain rate into the 429 ``Retry-After`` hint (``max_depth``
-  remains the configured starting point; the controller moves the
-  admissible depth around it as the measured latency demands).
+* the measured drain rate — completions per second over the last
+  :data:`DRAIN_WINDOW` seconds or more of the injectable monotonic clock,
+  re-measured on arrivals and completions — which turns into the 429
+  ``Retry-After`` hint and feeds the front tier's fleet-wide shedding.
 
 Clock discipline: :class:`Job` carries **two** timestamps on purpose.
 ``created`` is ``time.monotonic()`` and is the only clock latency math
@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.api.protocol import EvalRequest
-from repro.serve.controller import ControllerConfig, LatencyController
+
+#: Shortest span, in seconds, a drain-rate measurement covers.
+DRAIN_WINDOW = 0.5
 
 
 class QueueFullError(RuntimeError):
@@ -73,16 +75,12 @@ class Job:
         created_wall: admission time on the wall clock, for externally
             meaningful records only; never mixed with ``created`` or any
             other monotonic reading.
-        wire: the normalized wire payload the request arrived as, when it
-            arrived over the wire — what the process worker pool ships to
-            a worker (names, not objects).
     """
 
     request: EvalRequest
     backend: Optional[str] = None
     created: float = field(default_factory=time.monotonic)
     created_wall: float = field(default_factory=time.time)
-    wire: Optional[Dict[str, object]] = field(default=None, repr=False)
     done: threading.Event = field(default_factory=threading.Event, repr=False)
     result: Optional[object] = field(default=None, repr=False)
     error: Optional[BaseException] = field(default=None, repr=False)
@@ -143,25 +141,19 @@ class AdmissionController:
     """Bounded admission queue plus the request accounting behind /metrics.
 
     Args:
-        max_depth: *starting* bound on queued (admitted, not yet claimed)
-            jobs; an arrival beyond the current effective bound is shed
-            with :class:`QueueFullError`.  With a ``controller_config``
-            that sets ``target_p95`` the effective bound adapts around
-            this value each control tick; without one it stays fixed (the
-            pre-controller behaviour).
+        max_depth: bound on queued (admitted, not yet claimed) jobs; an
+            arrival that finds ``max_depth`` jobs queued is shed with
+            :class:`QueueFullError`.
         workers: worker-pool size, used only to scale the retry hint
-            before the controller has measured a drain rate.
-        controller_config: tunables of the adaptive
-            :class:`~repro.serve.controller.LatencyController`.
-        clock: monotonic clock for the controller's tick schedule —
-            injectable so tests drive control decisions deterministically.
+            before a drain rate has been measured.
+        clock: monotonic clock the drain rate is measured on — injectable
+            so tests drive the measurement deterministically.
     """
 
     def __init__(
         self,
         max_depth: int = 64,
         workers: int = 1,
-        controller_config: Optional[ControllerConfig] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_depth <= 0:
@@ -169,12 +161,6 @@ class AdmissionController:
         self.max_depth = max_depth
         self.workers = max(1, workers)
         self.latencies = LatencyWindow()
-        self.controller = LatencyController(
-            initial_depth=max_depth,
-            config=controller_config,
-            workers=self.workers,
-            clock=clock,
-        )
         self._jobs: deque = deque()  # guarded-by: _lock
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
@@ -184,6 +170,48 @@ class AdmissionController:
         self.rejected = 0  # guarded-by: _lock
         self.completed = 0  # guarded-by: _lock
         self.failed = 0  # guarded-by: _lock
+        # The drain measurement has its own lock, taken after _lock (the
+        # shed path reads the rate with the queue lock held), never before.
+        self._clock = clock
+        self._drain_lock = threading.Lock()
+        self._drain_since = clock()  # guarded-by: _drain_lock
+        self._drained = 0  # guarded-by: _drain_lock
+        self._drain_rate: Optional[float] = None  # guarded-by: _drain_lock
+
+    # ------------------------------------------------------------------
+    # drain rate and the Retry-After hint
+    # ------------------------------------------------------------------
+    def _measure_drain(self, completions: int) -> None:
+        """Count ``completions`` and re-measure once a window has passed."""
+        with self._drain_lock:
+            self._drained += completions
+            now = self._clock()
+            elapsed = now - self._drain_since
+            if elapsed >= DRAIN_WINDOW:
+                self._drain_rate = self._drained / elapsed
+                self._drained = 0
+                self._drain_since = now
+
+    def _drain_hint(self, depth: int) -> float:
+        """Seconds a backlog of ``depth`` queued jobs needs to drain.
+
+        ``depth / measured drain rate`` once a positive rate exists, the
+        ``depth x mean latency / workers`` heuristic before that; both
+        clamped to [1, 60] seconds.
+        """
+        with self._drain_lock:
+            drain_rate = self._drain_rate
+        if drain_rate is not None and drain_rate > 0:
+            hint = depth / drain_rate
+        else:
+            hint = depth * (self.latencies.mean() or 1.0) / self.workers
+        return float(min(60.0, max(1.0, hint)))
+
+    def retry_after(self) -> float:
+        """Suggested back-off: the time the current backlog needs to drain."""
+        with self._lock:
+            depth = len(self._jobs)
+        return self._drain_hint(depth)
 
     # ------------------------------------------------------------------
     # producer side
@@ -192,51 +220,26 @@ class AdmissionController:
         """Admit a job into the bounded queue or shed it.
 
         Raises:
-            QueueFullError: the queue is at the controller's current
-                effective depth.
+            QueueFullError: ``max_depth`` jobs are already queued.
             ServiceClosedError: the controller was closed.
         """
-        # Run a due control tick before deciding on this arrival.  The p95
-        # read (a sort of the latency window) happens outside the queue
-        # lock; the controller and the window carry their own locks, and
-        # the lock order is always admission -> controller, never back.
-        if self.controller.tick_due():
-            self.controller.maybe_tick(self.latencies.percentile(0.95))
-        effective_depth = self.controller.effective_depth
+        self._measure_drain(0)
         with self._nonempty:
             if self._closed:
                 raise ServiceClosedError("service is shutting down")
             self.received += 1
             depth = len(self._jobs)
-            self.controller.observe_queue_depth(depth)
-            if depth >= effective_depth:
+            if depth >= self.max_depth:
                 self.rejected += 1
-                self.controller.observe_rejection()
-                # Computed with the already-held lock's depth: retry_after()
-                # re-acquires the (non-reentrant) lock and must not be
-                # called from here.
                 raise QueueFullError(
-                    f"admission queue is full ({depth} queued, effective "
-                    f"depth {effective_depth}); retry later",
-                    retry_after=self.controller.retry_after(
-                        depth, self.latencies.mean()
-                    ),
+                    f"admission queue is full ({depth} queued, max depth "
+                    f"{self.max_depth}); retry later",
+                    retry_after=self._drain_hint(depth),
                 )
             self.admitted += 1
             self._jobs.append(job)
             self._nonempty.notify()
             return job
-
-    def retry_after(self) -> float:
-        """Suggested back-off: the time the current backlog needs to drain.
-
-        Delegates to the controller: ``queue depth / measured drain rate``
-        once a drain rate exists, the ``depth x mean latency / workers``
-        heuristic before that (both clamped to [1, 60] seconds).
-        """
-        with self._lock:
-            depth = len(self._jobs)
-        return self.controller.retry_after(depth, self.latencies.mean())
 
     # ------------------------------------------------------------------
     # worker side
@@ -266,9 +269,7 @@ class AdmissionController:
             else:
                 self.failed += 1
         self.latencies.record(job.latency)
-        self.controller.observe_completion()
-        if self.controller.tick_due():
-            self.controller.maybe_tick(self.latencies.percentile(0.95))
+        self._measure_drain(1)
 
     # ------------------------------------------------------------------
     def close(self) -> List[Job]:
@@ -308,18 +309,20 @@ class AdmissionController:
 
         Published under ``/metrics`` ``"drain"`` and aggregated by the
         front tier (:mod:`repro.serve.front`) into its fleet-wide shed
-        decision: queue depths and effective depths sum, drain rates sum,
-        and the latency window samples union into an exact fleet p95.
+        decision: queue depths and bounds sum, drain rates sum, and the
+        latency window samples union into an exact fleet p95.  The bound
+        is published as ``effective_depth``, the key the front reads.
         """
         with self._lock:
             depth = len(self._jobs)
             in_flight = self.admitted - self.completed - self.failed
-        control = self.controller.drain_snapshot()
+        with self._drain_lock:
+            drain_rate = self._drain_rate
         return {
             "queue_depth": depth,
             "in_flight": in_flight,
-            "effective_depth": control["effective_depth"],
-            "drain_rate_per_second": control["drain_rate_per_second"],
+            "effective_depth": self.max_depth,
+            "drain_rate_per_second": drain_rate,
             "latency_window_seconds": self.latencies.samples(),
         }
 
@@ -336,7 +339,6 @@ class AdmissionController:
                 "queue_depth": len(self._jobs),
                 "max_depth": self.max_depth,
             }
-        counters["effective_depth"] = self.controller.effective_depth
         counters["latency_p50_seconds"] = self.latencies.percentile(0.50)
         counters["latency_p95_seconds"] = self.latencies.percentile(0.95)
         counters["latency_mean_seconds"] = self.latencies.mean()

@@ -156,32 +156,6 @@ def encode_request(
     }
 
 
-def wire_payload(wire: WireRequest) -> Dict[str, object]:
-    """The normalized JSON payload of a validated :class:`WireRequest`.
-
-    Every field is spelled out (defaults included) with deterministic
-    types, so two client payloads that decode to the same wire request
-    produce the same normalized dict — the form the process worker pool
-    ships to its children.
-    ``decode_request(wire_payload(w)) == w`` for every ``WireRequest``.
-    """
-    return {
-        "model": wire.model,
-        "dataset": wire.dataset,
-        "backend": wire.backend,
-        "copy_levels": list(wire.copy_levels),
-        "spf_levels": list(wire.spf_levels),
-        "repeats": wire.repeats,
-        "seed": wire.seed,
-        "encoder": wire.encoder,
-        "max_samples": wire.max_samples,
-        "collect_spike_counters": wire.collect_spike_counters,
-        "router_delay": wire.router_delay,
-        "stochastic_synapses": wire.stochastic_synapses,
-        "link_delay": wire.link_delay,
-    }
-
-
 def decode_request(payload: object) -> WireRequest:
     """Validate a wire payload strictly and return its :class:`WireRequest`.
 

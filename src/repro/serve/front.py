@@ -27,10 +27,10 @@ repeated requests with zero fresh engine passes.
 
 **Fleet admission.**  The front owns its *own* shed decision, computed
 from the replicas' exported drain snapshots (polled ``/metrics``
-``"drain"`` blocks): queue depths and controller effective depths sum
-across healthy replicas, and when the fleet backlog reaches the fleet
-bound the front answers ``429 Retry-After`` — with the hint derived from
-the *aggregated* measured drain rate — **before a backend socket is even
+``"drain"`` blocks): queue depths and queue bounds sum across healthy
+replicas, and when the fleet backlog reaches the fleet bound the front
+answers ``429 Retry-After`` — with the hint derived from the
+*aggregated* measured drain rate — **before a backend socket is even
 picked**.  This is the call-admission-control shape (Babu et al. in
 PAPERS.md) lifted one tier up: per-replica 429s protect one queue;
 the front-tier decision protects the fleet without burning a connection
@@ -53,7 +53,7 @@ absorbed without a client-visible 5xx.
 fleet: conservation counters summed (each replica snapshot is internally
 consistent, so the summed invariants hold fleet-wide), the fleet p95
 computed over the *union* of the per-replica latency windows (averaging
-per-replica p95s is statistically unsound), controller state per replica.
+per-replica p95s is statistically unsound).
 ``GET /v1/fleet`` exposes the sharding itself: ring membership, model
 assignments, per-replica health and ejection counters.
 """
@@ -167,7 +167,6 @@ class ReplicaState:
     rejoins: int = 0
     drain: Optional[DrainView] = None
     requests: Optional[Dict[str, object]] = None
-    controller: Optional[Dict[str, object]] = None
     models_payload: Optional[Dict[str, object]] = None
     model_keys: Dict[str, str] = field(default_factory=dict)
     proxied: int = 0
@@ -312,6 +311,7 @@ class FrontService:
         for name in names:
             with self._lock:
                 state = self._replicas[name]
+                ejections = state.ejections
             alive = self._get_json(state, "/healthz", self.config.probe_timeout)
             if alive is None or alive.get("status") != "ok":
                 # A draining replica answers /healthz but 503s every
@@ -327,7 +327,7 @@ class FrontService:
                 models = self._get_json(
                     state, "/v1/models", self.config.probe_timeout
                 )
-            self._mark_alive(name, metrics=metrics, models=models)
+            self._mark_alive(name, ejections, metrics=metrics, models=models)
 
     def _mark_failure(self, name: str, during: str) -> None:
         with self._lock:
@@ -354,11 +354,20 @@ class FrontService:
     def _mark_alive(
         self,
         name: str,
+        ejections: int,
         metrics: Optional[Dict[str, object]],
         models: Optional[Dict[str, object]],
     ) -> None:
+        """Apply a poll that found ``name`` ok, unless it went stale.
+
+        ``ejections`` is the replica's ejection count when the poll began:
+        a proxy failure that ejected it since is newer than the poll's
+        ``ok``, so the next poll decides instead of rejoining it here.
+        """
         with self._lock:
             state = self._replicas[name]
+            if state.ejections != ejections:
+                return
             state.consecutive_failures = 0
             rejoined = not state.healthy
             if rejoined:
@@ -369,10 +378,6 @@ class FrontService:
                 requests = metrics.get("requests")
                 state.requests = (
                     dict(requests) if isinstance(requests, dict) else None
-                )
-                controller = metrics.get("controller")
-                state.controller = (
-                    dict(controller) if isinstance(controller, dict) else None
                 )
             if models is not None:
                 state.models_payload = models
@@ -657,7 +662,6 @@ class FrontService:
         fleet_drain = 0.0
         drain_measured = False
         fleet_effective = 0
-        controllers: Dict[str, object] = {}
         replica_views: Dict[str, object] = {}
         with self._lock:
             states = list(self._replicas.values())
@@ -673,8 +677,6 @@ class FrontService:
                     if state.drain.drain_rate_per_second is not None:
                         fleet_drain += state.drain.drain_rate_per_second
                         drain_measured = True
-                if state.controller is not None:
-                    controllers[state.name] = dict(state.controller)
                 replica_views[state.name] = {
                     "healthy": state.healthy,
                     "proxied": state.proxied,
@@ -711,7 +713,6 @@ class FrontService:
                 "latency_p50_seconds": self.latencies.percentile(0.50),
                 "latency_p95_seconds": self.latencies.percentile(0.95),
             },
-            "controllers": controllers,
             "replicas": replica_views,
             "http": http_counts,
         }

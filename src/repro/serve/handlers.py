@@ -11,7 +11,7 @@ server class (:class:`ServiceHTTPServer`):
   (:func:`repro.serve.codec.encode_result`, ``Content-Type``
   :data:`~repro.serve.codec.RESULT_CONTENT_TYPE`).  Failures answer the
   typed error payloads of :func:`repro.serve.codec.error_payload`; overload
-  answers ``429`` with a ``Retry-After`` header (the adaptive admission
+  answers ``429`` with a ``Retry-After`` header (the admission
   controller's measured-drain estimate) instead of queuing without bound,
   and a result the wire cannot carry exactly answers ``500``.
 * ``GET /v1/models`` — the hosted models/datasets/backends.

@@ -7,13 +7,13 @@ Three layers, separable for testing:
   trains the paper's learning methods on one test bench and registers the
   matching evaluation splits).
 * :class:`EvalService` — the transport-free core: an
-  :class:`~repro.serve.admission.AdmissionController` in front of a worker
-  pool, each worker draining *batches* of admitted jobs through its own
-  :class:`repro.api.Session` (``submit`` + one ``flush`` per batch), so
-  same-fingerprint requests coalesce onto shared engine passes exactly as
-  they do in-process.  All workers share one score cache and one
-  :class:`~repro.api.ResultMemo`, so a repeated configuration is a hit
-  regardless of which worker serves it.
+  :class:`~repro.serve.admission.AdmissionController` with a static queue
+  bound in front of ``workers`` worker threads, each draining *batches* of
+  admitted jobs through its own :class:`repro.api.Session` (``submit`` +
+  one ``flush`` per batch), so same-fingerprint requests coalesce onto
+  shared engine passes exactly as they do in-process.  All workers share
+  one score cache and one :class:`~repro.api.ResultMemo`, so a repeated
+  configuration is a hit regardless of which worker serves it.
   Responses are **bit-identical** to a direct ``Session.evaluate`` of the
   same request — the service adds queuing, never arithmetic.
 * :class:`EvalServer` — the stdlib HTTP binding
@@ -22,36 +22,16 @@ Three layers, separable for testing:
   ``GET /v1/models``, ``GET /healthz``, and ``GET /metrics`` over
   kept-alive HTTP/1.1 connections.
 
-Two durability/throughput upgrades sit behind :class:`ServeConfig` flags:
-
-* ``worker_mode="process"`` moves evaluation out of the GIL: the worker
-  pool becomes ``workers`` *dispatcher threads* feeding a spawn-context
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose children each own
-  a :class:`~repro.api.Session` built from a pickled copy of the registry.
-  Batches ship as normalized wire payloads (names, not objects), results
-  come back as :class:`~repro.api.EvalResult` objects (numpy pickling is
-  exact, so bit-identity survives the process hop).  The parent keeps a
-  shared :class:`~repro.api.ResultMemo` and answers repeated deterministic
-  requests directly from it, without touching a worker.
-  A child that dies breaks the executor; the first dispatcher to see it
-  broken replaces it (counted as ``worker_restarts`` in ``/metrics``) and
-  re-runs the batch once — deterministic requests are safe to repeat.
-* ``cache_dir`` gives the shared memo its disk tier: every served
-  deterministic result, on every backend, is written through to one file
-  under it.  A service restarted on the same directory — or a survivor
-  taking over a dead replica's traffic — answers a repeated burst from
-  disk without running an engine pass, and boots without replaying
-  anything.
+``ServeConfig.cache_dir`` gives the shared memo its disk tier: every
+served deterministic result, on every backend, is written through to one
+file under it.  A service restarted on the same directory — or a survivor
+taking over a dead replica's traffic — answers a repeated burst from disk
+without running an engine pass, and boots without replaying anything.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,13 +49,8 @@ from repro.serve.codec import (
     UnknownModelError,
     decode_request,
     to_eval_request,
-    wire_payload,
 )
-from repro.serve.controller import ControllerConfig
 from repro.serve.handlers import ServeHandler, ServiceHTTPServer
-
-#: Worker-pool implementations a service may run.
-WORKER_MODES = ("thread", "process")
 
 
 @dataclass
@@ -87,19 +62,10 @@ class ServeConfig:
             port (the bound port is on :attr:`EvalServer.port`).
         backend: default backend for requests that do not name one
             (``"auto"`` selects by request capability, as in ``Session``).
-        workers: worker threads (``worker_mode="thread"``) or worker
-            processes (``worker_mode="process"``) draining the admission
-            queue.
-        worker_mode: ``"thread"`` drains batches on in-process sessions;
-            ``"process"`` dispatches batches to a spawn-context process
-            pool around the GIL (see the module docstring).
-        queue_depth: *starting* bound on queued jobs; arrivals beyond the
-            effective bound get 429.  With ``target_p95`` set the bound
-            adapts each control tick.
-        target_p95: p95 latency target in seconds for the adaptive
-            admission controller; ``None`` keeps the static bound.
-        controller_config: full controller tunables; overrides
-            ``target_p95`` when given.
+        workers: worker threads draining the admission queue (``0``
+            admits jobs that no worker runs).
+        queue_depth: bound on queued jobs; an arrival that finds this
+            many queued gets 429.
         batch_max: most jobs one worker claims per drain — the coalescing
             window.
         request_timeout: seconds an HTTP handler waits for its job before
@@ -114,10 +80,7 @@ class ServeConfig:
     port: int = 8000
     backend: str = "auto"
     workers: int = 2
-    worker_mode: str = "thread"
     queue_depth: int = 64
-    target_p95: Optional[float] = None
-    controller_config: Optional[ControllerConfig] = None
     batch_max: int = 8
     request_timeout: float = 300.0
     cache_dir: Optional[str] = None
@@ -127,20 +90,11 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.worker_mode not in WORKER_MODES:
-            raise ValueError(
-                f"worker_mode must be one of {WORKER_MODES}, "
-                f"got {self.worker_mode!r}"
-            )
         if self.batch_max <= 0:
             raise ValueError(f"batch_max must be positive, got {self.batch_max}")
         if self.request_timeout <= 0:
             raise ValueError(
                 f"request_timeout must be positive, got {self.request_timeout}"
-            )
-        if self.target_p95 is not None and self.target_p95 <= 0:
-            raise ValueError(
-                f"target_p95 must be positive, got {self.target_p95}"
             )
         if self.memo_entries <= 0:
             raise ValueError(
@@ -156,14 +110,6 @@ class ServeConfig:
                     "cache_max_bytes must be positive, got "
                     f"{self.cache_max_bytes}"
                 )
-
-    def resolved_controller_config(self) -> Optional[ControllerConfig]:
-        """The controller tunables this config asks for (``None`` = static)."""
-        if self.controller_config is not None:
-            return self.controller_config
-        if self.target_p95 is not None:
-            return ControllerConfig(target_p95=self.target_p95)
-        return None
 
 
 class ModelRegistry:
@@ -252,83 +198,6 @@ class ModelRegistry:
         return registry
 
 
-# ----------------------------------------------------------------------
-# process-worker plumbing (module level: spawn children must import it)
-# ----------------------------------------------------------------------
-#: per-child session + registry, built once by the pool initializer.
-_WORKER_SESSION: Optional[Session] = None
-_WORKER_REGISTRY: Optional[ModelRegistry] = None
-
-
-def _process_worker_init(registry: ModelRegistry, backend: str) -> None:
-    """Build one worker child's session from a pickled registry copy.
-
-    Each child owns its session and in-memory caches.  The persistent
-    result store stays in the parent, which answers from it before it
-    ships a batch and writes every child result through.
-    """
-    global _WORKER_SESSION, _WORKER_REGISTRY
-    _WORKER_REGISTRY = registry
-    _WORKER_SESSION = Session(backend=backend, result_memo=ResultMemo())
-
-
-def _picklable_error(error: BaseException) -> BaseException:
-    """``error`` itself when it pickles, else a ``RuntimeError`` stand-in.
-
-    Typed protocol errors (``UnsupportedRequestError``, ``CodecError``,
-    ...) pickle fine and keep their HTTP status mapping across the process
-    hop; anything carrying unpicklable baggage degrades to a string-only
-    ``RuntimeError`` (a 500) instead of poisoning the whole batch.
-    """
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return RuntimeError(f"{type(error).__name__}: {error}")
-
-
-def _process_worker_run(
-    items: List[Tuple[object, ...]],
-) -> Tuple[List[Tuple[str, object]], int, Dict[str, object]]:
-    """Serve one claimed batch inside a worker child.
-
-    ``items`` entries are ``("wire", payload)`` — a normalized wire dict
-    resolved against the child's registry — or ``("request", request,
-    backend)`` for in-process jobs that never had a wire form.  Returns
-    per-item ``("ok", result)`` / ``("error", exception)`` outcomes in
-    order, plus the child's pid and cumulative session stats so the parent
-    can aggregate ``/metrics`` without another round-trip.
-    """
-    session = _WORKER_SESSION
-    registry = _WORKER_REGISTRY
-    assert session is not None and registry is not None
-    handles: List[object] = []
-    for item in items:
-        try:
-            if item[0] == "wire":
-                wire = decode_request(item[1])
-                request = to_eval_request(wire, registry)
-                handles.append(session.submit(request, backend=wire.backend))
-            else:
-                handles.append(session.submit(item[1], backend=item[2]))
-        except Exception as error:
-            handles.append(_picklable_error(error))
-    try:
-        session.flush()
-    except Exception:
-        pass
-    outcomes: List[Tuple[str, object]] = []
-    for handle in handles:
-        if isinstance(handle, BaseException):
-            outcomes.append(("error", handle))
-            continue
-        try:
-            outcomes.append(("ok", handle.result()))
-        except Exception as error:
-            outcomes.append(("error", _picklable_error(error)))
-    return outcomes, os.getpid(), session.stats()
-
-
 class EvalService:
     """Transport-free service core: admission queue + coalescing workers."""
 
@@ -340,14 +209,12 @@ class EvalService:
         self.admission = AdmissionController(
             max_depth=self.config.queue_depth,
             workers=self.config.workers,
-            controller_config=self.config.resolved_controller_config(),
         )
         #: one score cache shared by every worker session, so cache hits do
         #: not depend on which worker a request lands on.
         self._score_cache = ScoreCache()
-        #: one result memo shared by the local sessions (thread workers and
-        #: the dispatch session) — the all-backend result store, persistent
-        #: when the config names a cache_dir.
+        #: one result memo shared by every worker session — the all-backend
+        #: result store, persistent when the config names a cache_dir.
         self.result_memo = ResultMemo(
             max_entries=self.config.memo_entries,
             cache_dir=self.config.cache_dir,
@@ -355,13 +222,6 @@ class EvalService:
         )
         self._sessions: List[Session] = []
         self._threads: List[threading.Thread] = []
-        self._pool_lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None  # guarded-by: _pool_lock
-        self._worker_restarts = 0  # guarded-by: _pool_lock
-        #: process-mode dispatch session (set by start()).
-        self._local_session: Optional[Session] = None
-        self._worker_stats: Dict[int, Dict[str, object]] = {}  # guarded-by: _stats_lock
-        self._stats_lock = threading.Lock()
         self._http_counts: Dict[str, int] = {}  # guarded-by: _http_lock
         self._http_lock = threading.Lock()
         self._started = False
@@ -374,46 +234,22 @@ class EvalService:
         if self._started:
             return self
         self._started = True
-        if self.config.worker_mode == "process":
-            self._local_session = self._make_session()
-            self._sessions.append(self._local_session)
-            if self.config.workers > 0:
-                with self._pool_lock:
-                    self._executor = self._new_executor()
         for index in range(self.config.workers):
-            if self.config.worker_mode == "process":
-                thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"repro-serve-dispatch-{index}",
-                    daemon=True,
-                )
-            else:
-                session = self._make_session()
-                self._sessions.append(session)
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    args=(session,),
-                    name=f"repro-serve-worker-{index}",
-                    daemon=True,
-                )
+            session = Session(
+                backend=self.config.backend,
+                cache=self._score_cache,
+                result_memo=self.result_memo,
+            )
+            self._sessions.append(session)
+            thread = threading.Thread(
+                target=self._worker_loop,
+                args=(session,),
+                name=f"repro-serve-worker-{index}",
+                daemon=True,
+            )
             self._threads.append(thread)
             thread.start()
         return self
-
-    def _make_session(self) -> Session:
-        return Session(
-            backend=self.config.backend,
-            cache=self._score_cache,
-            result_memo=self.result_memo,
-        )
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_process_worker_init,
-            initargs=(self.registry, self.config.backend),
-        )
 
     def close(self) -> None:
         """Stop admitting, fail still-queued jobs, join the workers."""
@@ -423,10 +259,6 @@ class EvalService:
         for thread in self._threads:
             thread.join(timeout=30.0)
         self._threads = []
-        with self._pool_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # request path
@@ -441,10 +273,7 @@ class EvalService:
         """
         wire = decode_request(payload)
         request = to_eval_request(wire, self.registry)
-        normalized = wire_payload(wire)
-        return self.admission.submit(
-            Job(request=request, backend=wire.backend, wire=normalized)
-        )
+        return self.admission.submit(Job(request=request, backend=wire.backend))
 
     def evaluate_request(self, request: EvalRequest, backend: Optional[str] = None):
         """Admit an in-process :class:`EvalRequest` and wait for its result.
@@ -492,103 +321,6 @@ class EvalService:
                     job.fail(error)
                     admission.job_done(job, ok=False)
 
-    def _dispatch_loop(self) -> None:
-        """Process-mode worker: claim batches, ship them to the pool.
-
-        Repeated deterministic requests are answered from the parent-side
-        result memo without a process hop; everything else ships to a
-        worker child as normalized wire payloads (or the request object
-        itself for in-process jobs), and the results warm the memo on the
-        way back.  Runs until the admission queue closes and drains.
-        """
-        admission = self.admission
-        session = self._local_session
-        assert session is not None
-        while True:
-            batch = admission.next_batch(self.config.batch_max, timeout=0.2)
-            if not batch:
-                if admission.closed:
-                    return
-                continue
-            remaining: List[Job] = []
-            for job in batch:
-                try:
-                    memoized = session.cached_result(
-                        job.request, backend=job.backend
-                    )
-                except Exception:
-                    memoized = None
-                if memoized is not None:
-                    job.resolve(memoized)
-                    admission.job_done(job, ok=True)
-                else:
-                    remaining.append(job)
-            if not remaining:
-                continue
-            items: List[Tuple[object, ...]] = [
-                ("wire", job.wire)
-                if job.wire is not None
-                else ("request", job.request, job.backend)
-                for job in remaining
-            ]
-            try:
-                outcomes, pid, stats = self._run_in_pool(items)
-            except Exception as error:
-                for job in remaining:
-                    job.fail(error)
-                    admission.job_done(job, ok=False)
-                continue
-            with self._stats_lock:
-                self._worker_stats[pid] = stats
-            for job, outcome in zip(remaining, outcomes):
-                if outcome[0] == "ok":
-                    result = outcome[1]
-                    try:
-                        session.memoize_result(
-                            job.request, result, backend=job.backend
-                        )
-                    except Exception:
-                        pass
-                    job.resolve(result)
-                    admission.job_done(job, ok=True)
-                else:
-                    error = outcome[1]
-                    job.fail(
-                        error
-                        if isinstance(error, BaseException)
-                        else RuntimeError(str(error))
-                    )
-                    admission.job_done(job, ok=False)
-
-    def _run_in_pool(
-        self, items: List[Tuple[object, ...]]
-    ) -> Tuple[List[Tuple[str, object]], int, Dict[str, object]]:
-        """Serve one batch on the process pool, replacing a broken pool once.
-
-        A dead child breaks the whole executor: every later submit raises
-        ``BrokenProcessPool``.  The first dispatcher to see this executor
-        broken replaces it, the others pick up the replacement, and the
-        batch runs once more on it.
-        """
-        executor = self._current_executor()
-        try:
-            return executor.submit(_process_worker_run, items).result()
-        except BrokenProcessPool:
-            with self._pool_lock:
-                if self._executor is executor:
-                    self._executor = self._new_executor()
-                    self._worker_restarts += 1
-            executor.shutdown(wait=False)
-            retry = self._current_executor()
-            return retry.submit(_process_worker_run, items).result()
-
-    def _current_executor(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            executor = self._executor
-        if executor is None:
-            raise ServiceClosedError("service shut down before the job ran")
-        return executor
-
     # ------------------------------------------------------------------
     # introspection endpoints
     # ------------------------------------------------------------------
@@ -632,23 +364,10 @@ class EvalService:
                 caches[id(cache)] = cache
         hits = sum(cache.hits for cache in caches.values())
         misses = sum(cache.misses for cache in caches.values())
-        # Process workers report their cumulative session stats with every
-        # served batch; fold the latest snapshot per child in (their caches
-        # live in other processes, so the counters arrive by value).
-        with self._stats_lock:
-            worker_stats = list(self._worker_stats.values())
-        for snapshot in worker_stats:
-            for key in session_totals:
-                session_totals[key] += int(snapshot.get(key, 0))
-            hits += int(snapshot.get("cache_hits", 0))
-            misses += int(snapshot.get("cache_misses", 0))
         with self._http_lock:
             http_counts = dict(sorted(self._http_counts.items()))
-        with self._pool_lock:
-            worker_restarts = self._worker_restarts
         return {
             "requests": self.admission.snapshot(),
-            "controller": self.admission.controller.snapshot(),
             "drain": self.admission.drain_snapshot(),
             "sessions": session_totals,
             "cache": {
@@ -657,8 +376,6 @@ class EvalService:
                 "hit_rate": hits / (hits + misses) if (hits + misses) else None,
             },
             "memo": self.result_memo.snapshot(),
-            "worker_mode": self.config.worker_mode,
-            "worker_restarts": worker_restarts,
             "http": http_counts,
         }
 

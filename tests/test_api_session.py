@@ -337,24 +337,25 @@ def test_seed_none_is_never_memoized(trained):
     assert memo.hits == 0
 
 
-def test_cached_result_and_memoize_result_round_trip(trained):
+def test_memo_store_and_lookup_round_trip(trained):
     donor = _session(backend="vectorized", result_memo=ResultMemo())
     request = _request(trained, seed=14)
     result = donor.evaluate(request)
+    key = donor._coalesce_key("vectorized", request)
 
     memo = ResultMemo()
+    assert memo.lookup(key, request) is None
+    memo.store(key, result)
+    assert memo.lookup(key, request) is result
+    # A second session sharing the memo serves the entry without a pass,
+    # and sub-grid reads (same maxima, fewer levels) come off it too.
     receiver = Session(backend="vectorized", cache=ScoreCache(), result_memo=memo)
-    assert receiver.cached_result(request) is None
-    receiver.memoize_result(request, result)
-    served = receiver.cached_result(request)
-    assert served is not None
-    assert receiver.stats.engine_passes == 0
-    assert np.array_equal(served.scores, result.scores)
-    # Sub-grid reads (same maxima, fewer levels) come off the entry too.
-    narrow = receiver.cached_result(
+    served = receiver.evaluate(request)
+    narrow = receiver.evaluate(
         _request(trained, copy_levels=(2,), spf_levels=(1, 2), seed=14)
     )
-    assert narrow is not None
+    assert receiver.stats.engine_passes == 0
+    assert np.array_equal(served.scores, result.scores)
     assert np.array_equal(narrow.scores, result.scores[:, 1:2])
 
 
@@ -375,16 +376,18 @@ def test_memo_store_keeps_wider_entry(trained):
     memo = ResultMemo()
     session = _session(backend="vectorized", result_memo=memo)
     wide_request = _request(trained, copy_levels=(1, 2), spf_levels=(1, 2), seed=9)
+    narrow_request = _request(trained, copy_levels=(2,), spf_levels=(1, 2), seed=9)
     wide = session.evaluate(wide_request)
+    key = session._coalesce_key("vectorized", wide_request)
     # Re-storing a narrower result under the same key must not shrink
     # what the memo can serve.
-    session.memoize_result(
-        _request(trained, copy_levels=(2,), spf_levels=(1, 2), seed=9),
-        _slice_result(wide, _request(trained, copy_levels=(2,), spf_levels=(1, 2), seed=9)),
-    )
-    still_wide = session.cached_result(wide_request)
+    memo.store(key, _slice_result(wide, narrow_request))
+    still_wide = memo.lookup(key, wide_request)
     assert still_wide is not None
     assert np.array_equal(still_wide.scores, wide.scores)
+    reader = Session(backend="vectorized", cache=ScoreCache(), result_memo=memo)
+    assert np.array_equal(reader.evaluate(wide_request).scores, wide.scores)
+    assert reader.stats.engine_passes == 0
 
 
 def test_memo_rejects_nonpositive_capacity():

@@ -22,7 +22,9 @@ The front tier's promises, each pinned here:
   connections to it stale, and the front retries them on a new
   connection instead of ejecting a live replica;
 * a draining replica (``/healthz`` status ``shutting-down``, 503 on every
-  evaluation) stays out of the ring until it reports ``ok`` again.
+  evaluation) stays out of the ring until it reports ``ok`` again, and a
+  poll that read ``ok`` before a proxy failure ejected a replica does not
+  rejoin it.
 """
 
 from __future__ import annotations
@@ -273,10 +275,6 @@ def test_metrics_aggregates_fleet_counters_and_latency(fleet, client):
         front_block["routed"] + front_block["shed"] + front_block["unavailable"]
     )
     assert front_block["routed"] >= 1
-    # Per-replica controller state is exposed per replica, not merged.
-    assert set(metrics["controllers"]) == {
-        f"127.0.0.1:{replica.port}" for replica in replicas
-    }
     assert "POST /v1/evaluate 200" in metrics["http"]
 
 
@@ -804,3 +802,35 @@ def test_draining_replica_is_not_rejoined_by_the_poller():
         assert view["healthy"] and view["rejoins"] == 1
     finally:
         draining.close()
+
+
+def test_poll_overtaken_by_a_proxy_ejection_does_not_rejoin(monkeypatch):
+    """A poll whose ``ok`` predates a proxy ejection must not undo it.
+
+    The fleet drill's kill used to land between a poll's ``/healthz`` read
+    and its bookkeeping: the stale ``ok`` rejoined the dying replica, and
+    the next request ejected it a second time.
+    """
+    replica = _TornReplica({"/healthz": {"status": "ok"}})
+    try:
+        service = FrontService(FrontConfig(replicas=(replica.name,)))
+        get_json = service._get_json
+
+        def overtaken(state, path, timeout):
+            answer = get_json(state, path, timeout)
+            if path == "/healthz":
+                service._mark_failure(state.name, during="proxy")
+            return answer
+
+        monkeypatch.setattr(service, "_get_json", overtaken)
+        service.refresh()
+        (view,) = service.fleet()["replicas"]
+        assert not view["healthy"]
+        assert view["ejections"] == 1 and view["rejoins"] == 0
+        # The next poll that reads ok rejoins it.
+        monkeypatch.undo()
+        service.refresh()
+        (view,) = service.fleet()["replicas"]
+        assert view["healthy"] and view["rejoins"] == 1
+    finally:
+        replica.close()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import http.client
 import os
 import re
-import signal
 import socket
 import subprocess
 import sys
@@ -539,60 +538,8 @@ def test_request_timeout_answers_504(registry):
 
 
 # ----------------------------------------------------------------------
-# durable tier: process workers, result memo, warm restart
+# durable tier: result memo, warm restart
 # ----------------------------------------------------------------------
-def test_process_worker_mode_bit_identical(registry):
-    """Process workers serve around the GIL with bit-identical responses.
-
-    Covers both a vectorized and a chip request (the chip result crosses
-    the process boundary as pickled numpy tensors — exact by construction)
-    and checks that a typed error raised inside a worker child keeps its
-    exception type across the hop.
-    """
-    config = ServeConfig(port=0, workers=1, worker_mode="process", queue_depth=8)
-    with EvalServer(registry, config) as running:
-        client = ServeClient(port=running.port, timeout=120.0)
-        served = client.evaluate(
-            model="tea", copy_levels=[1, 2], spf_levels=[1], repeats=1, seed=0
-        )
-        chip = client.evaluate(
-            model="tea",
-            copy_levels=[1],
-            spf_levels=[2],
-            seed=0,
-            collect_spike_counters=True,
-            max_samples=16,
-        )
-        with pytest.raises(UnsupportedRequestError, match="cycle-accurate"):
-            client.evaluate(
-                model="tea",
-                backend="vectorized",
-                collect_spike_counters=True,
-            )
-        metrics = client.metrics()
-        assert metrics["worker_mode"] == "process"
-        assert_metrics_invariants(metrics)
-    session = Session(cache=ScoreCache())
-    direct = session.evaluate(
-        _direct(registry, copy_levels=(1, 2), spf_levels=(1,), seed=0)
-    )
-    direct_chip = session.evaluate(
-        _direct(
-            registry,
-            copy_levels=(1,),
-            spf_levels=(2,),
-            seed=0,
-            collect_spike_counters=True,
-            max_samples=16,
-        )
-    )
-    assert np.array_equal(served.scores, direct.scores)
-    assert np.array_equal(served.accuracy, direct.accuracy)
-    assert chip.backend == "chip"
-    assert np.array_equal(chip.class_counts(), direct_chip.class_counts())
-    assert np.array_equal(chip.spike_counters, direct_chip.spike_counters)
-
-
 def test_repeated_chip_request_served_from_memo(registry):
     """The result memo covers backends the score cache never touches."""
     config = ServeConfig(port=0, workers=1, queue_depth=8)
@@ -669,28 +616,6 @@ def test_restart_on_cache_dir_answers_burst_without_engine_passes(registry, tmp_
             assert second.spike_counters is None
         else:
             assert np.array_equal(first.spike_counters, second.spike_counters)
-
-
-def test_killed_process_worker_is_replaced_and_the_batch_reruns(registry):
-    """A SIGKILLed worker child costs one pool rebuild, not every request."""
-    config = ServeConfig(port=0, workers=1, worker_mode="process", queue_depth=8)
-    with EvalServer(registry, config) as running:
-        client = ServeClient(port=running.port, timeout=120.0)
-        client.evaluate(model="tea", copy_levels=[1], seed=0)
-        (pid,) = running.service._worker_stats  # the child that served it
-        os.kill(pid, signal.SIGKILL)
-        served = client.evaluate(
-            model="tea", copy_levels=[1, 2], spf_levels=[1, 2], seed=3
-        )
-        metrics = client.metrics()
-        assert metrics["worker_restarts"] == 1
-        assert metrics["requests"]["failed"] == 0
-        assert_metrics_invariants(metrics)
-    direct = Session(cache=ScoreCache()).evaluate(
-        _direct(registry, copy_levels=(1, 2), spf_levels=(1, 2), seed=3)
-    )
-    assert np.array_equal(served.scores, direct.scores)
-    assert np.array_equal(served.accuracy, direct.accuracy)
 
 
 def test_config_rejects_cache_max_bytes_without_cache_dir():
