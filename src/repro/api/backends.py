@@ -376,11 +376,12 @@ def _deploy_and_encode(
     Each repeat clones its pristine generator (see
     :func:`repro.utils.rng.clone_rng`), deploys ``max_copies`` copies,
     draws its copies' LFSR seeds (stochastic mode only) and encodes
-    ``max(spf_levels)`` frames, in that order, so every pass replays
-    identical streams.  Neither the deployment nor the seeds depend on
-    the number of frames, and the frames of a smaller spf are a prefix of
-    the encoded volume, which is what lets one run serve every level
-    (level readout, see :mod:`repro.mapping.pipeline`).
+    ``max(spf_levels)`` frames straight into its block of the volume, in
+    that order, so every pass replays identical streams.  Neither the
+    deployment nor the seeds depend on the number of frames, and the frames
+    of a smaller spf are a prefix of the encoded volume, which is what lets
+    one run serve every level (level readout, see
+    :mod:`repro.mapping.pipeline`).
 
     Returns ``(copies, volumes, copy_seeds)``: the ``repeats * max_copies``
     copies repeat-major, the grouped ``(repeats, batch, ticks, inputs)``
@@ -389,9 +390,12 @@ def _deploy_and_encode(
     """
     encoder = StochasticEncoder(spikes_per_frame=spf_levels[-1])
     copies: List[DeployedNetwork] = []
-    volumes: List[np.ndarray] = []
+    batch, inputs = features.shape
+    volumes = np.empty(
+        (len(repeat_rngs), batch, spf_levels[-1], inputs), dtype=np.uint8
+    )
     copy_seeds: Optional[List[int]] = [] if stochastic else None
-    for rng in repeat_rngs:
+    for repeat, rng in enumerate(repeat_rngs):
         repeat_rng = clone_rng(rng)
         copies.extend(
             deploy_with_copies(
@@ -413,9 +417,9 @@ def _deploy_and_encode(
                     np.arange(1, 2**16), size=max_copies, replace=False
                 )
             )
-        frames = encoder.encode(features, rng=repeat_rng)
-        volumes.append(np.ascontiguousarray(frames.transpose(1, 0, 2)))
-    return copies, np.stack(volumes), copy_seeds
+        # Spikes go straight into this repeat's (batch, ticks, inputs) block.
+        encoder.encode(features, rng=repeat_rng, out=volumes[repeat].swapaxes(0, 1))
+    return copies, volumes, copy_seeds
 
 
 def _pass_result(

@@ -9,15 +9,20 @@ but proportionally longer inference time).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.utils.rng import RngLike, new_rng
 
-#: Soft cap on the number of elements one encoded chunk may hold; keeps the
-#: streaming path from materializing the full (spf, batch, features) tensor.
-_DEFAULT_CHUNK_ELEMENTS = 4_000_000
+#: Uniform draws per block: 8,192 float64 (64 KiB).  The encoder draws whole
+#: rows at a time through one such block, so its memory beyond the spikes it
+#: writes stays at this size whatever the input.
+_BLOCK_ELEMENTS = 8192
+
+#: dtypes :meth:`StochasticEncoder.encode` can write into: uint8 spikes, or
+#: the float32 0.0/1.0 input of the vectorized engine's GEMM.
+_OUT_DTYPES = (np.dtype(np.uint8), np.dtype(np.float32))
 
 
 class StochasticEncoder:
@@ -35,58 +40,70 @@ class StochasticEncoder:
             )
         self.spikes_per_frame = spikes_per_frame
 
-    def encode(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Encode a batch of values into spike frames.
-
-        Args:
-            values: array of shape (batch, features) with entries in [0, 1].
-            rng: randomness source.
-
-        Returns:
-            uint8 array of shape (spikes_per_frame, batch, features).
-        """
-        values = self._validate(values)
-        rng = new_rng(rng)
-        draws = rng.random((self.spikes_per_frame,) + values.shape)
-        return (draws < values[None, :, :]).astype(np.uint8)
-
-    def iter_encoded(
+    def encode(
         self,
         values: np.ndarray,
         rng: RngLike = None,
-        chunk_frames: Optional[int] = None,
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Stream spike frames in chunks along the spikes-per-frame axis.
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Encode a batch of values into spike frames.
 
-        Yields ``(start, frames)`` pairs where ``frames`` has shape
-        ``(chunk, batch, features)`` and covers spike frames
-        ``start .. start + chunk``.  Generator draws fill sequentially, so
-        concatenating all chunks reproduces :meth:`encode` bit for bit for
-        the same ``rng`` — callers can stream without changing results.
+        Spikes are ``rng.random((spikes_per_frame, batch, features)) <
+        values``, bit for bit, and the generator ends where that one-shot
+        draw leaves it.  The draws never materialize at once: they fill one
+        reused 64 KiB block of whole rows (a row wider than the block is
+        split along its features), in frame, row, feature order, and each
+        block's spikes go straight into ``out``.  So encoding frames
+        ``a .. b`` and then ``b .. c`` with one generator equals encoding
+        ``a .. c``.
 
         Args:
             values: array of shape (batch, features) with entries in [0, 1].
             rng: randomness source.
-            chunk_frames: frames per chunk; ``None`` targets a few million
-                elements per chunk.
+            out: optional ``(spikes_per_frame, batch, features)`` array or
+                view (any strides) to write the spikes into: uint8, or
+                float32 holding 0.0/1.0.
+
+        Returns:
+            ``out``, or a fresh C-contiguous uint8 array of shape
+            (spikes_per_frame, batch, features).
         """
         values = self._validate(values)
         rng = new_rng(rng)
-        if chunk_frames is None:
-            per_frame = max(int(values.size), 1)
-            chunk_frames = max(1, _DEFAULT_CHUNK_ELEMENTS // per_frame)
-        if chunk_frames <= 0:
-            raise ValueError(f"chunk_frames must be positive, got {chunk_frames}")
-        for start in range(0, self.spikes_per_frame, chunk_frames):
-            count = min(chunk_frames, self.spikes_per_frame - start)
-            draws = rng.random((count,) + values.shape)
-            yield start, (draws < values[None, :, :]).astype(np.uint8)
+        shape = (self.spikes_per_frame,) + values.shape
+        if out is None:
+            out = np.empty(shape, dtype=np.uint8)
+        elif out.shape != shape or out.dtype not in _OUT_DTYPES:
+            raise ValueError(
+                f"out must be a uint8 or float32 array of shape {shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        if values.size == 0:
+            return out
+        target = out.view(np.bool_) if out.dtype == np.uint8 else out
+        batch, features = values.shape
+        cols = min(features, _BLOCK_ELEMENTS)
+        rows = _BLOCK_ELEMENTS // cols
+        block = np.empty(rows * cols)
+        for frame in range(self.spikes_per_frame):
+            for row in range(0, batch, rows):
+                for col in range(0, features, cols):
+                    tile = values[row : row + rows, col : col + cols]
+                    draws = block[: tile.size].reshape(tile.shape)
+                    rng.random(out=draws)
+                    np.less(
+                        draws,
+                        tile,
+                        out=target[frame, row : row + rows, col : col + cols],
+                    )
+        return out
 
     def _validate(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D (batch, features), got {values.shape}")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        # Written so that NaN, for which every comparison is false, fails.
+        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("values must lie in [0, 1]")
         return values
 

@@ -18,10 +18,12 @@ removes all of those loops:
   uses ``A = W + 2**-9 * |W|`` and fires iff ``x @ A > 0``, which equals
   ``(x @ W >= 0) and (x @ |W| > 0)`` exactly (see below) — no second
   mask matmul on the common path.
-* :meth:`VectorizedEvaluator.evaluate_scores` streams the stochastic
-  encoding in chunks along the spikes-per-frame axis, so the full
-  ``spf x batch x features`` spike tensor never materializes, while drawing
-  the exact same random stream the one-shot encoder would.
+* :meth:`VectorizedEvaluator.evaluate_scores` encodes in chunks along the
+  spikes-per-frame axis, straight into the float32 GEMM input, so what
+  bounds its memory is that chunk (at most about 4 million elements unless
+  ``chunk_frames`` says otherwise) plus the encoder's one 64 KiB block of
+  float64 draws; the draws are the exact random stream the one-shot
+  encoder would consume.
 
 Scoring convention
 ------------------
@@ -81,6 +83,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (deploy imports us)
 #: at most 1/2, strictly below the smallest nonzero |weighted sum| (one
 #: synaptic magnitude), so folding never flips the sign test.
 GATE_EPS = 2.0**-9
+
+#: Soft cap on the elements of one encoded chunk (spike frames times batch
+#: times features) that :meth:`VectorizedEvaluator.evaluate_scores` encodes
+#: and propagates at once: 16 MB of float32 GEMM input.
+_CHUNK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -418,8 +425,8 @@ class VectorizedEvaluator:
             rng: randomness for the stochastic encoding (the same stream an
                 unchunked :meth:`StochasticEncoder.encode` would consume).
             chunk_frames: how many spike frames to encode and propagate per
-                chunk; ``None`` picks a size that keeps the encoded chunk
-                around a few million elements.
+                chunk; ``None`` keeps each chunk's float32 input within
+                about 4 million elements.
 
         Returns:
             array of shape ``(copies, spikes_per_frame, batch, num_classes)``.
@@ -429,18 +436,26 @@ class VectorizedEvaluator:
             raise ValueError(
                 f"features must be 2-D (batch, features), got {features.shape}"
             )
-        encoder = StochasticEncoder(spikes_per_frame=spikes_per_frame)
-        batch = features.shape[0]
+        rng = new_rng(rng)
+        batch, width = features.shape
+        if chunk_frames is None:
+            chunk_frames = max(1, _CHUNK_ELEMENTS // max(features.size, 1))
+        if chunk_frames <= 0:
+            raise ValueError(f"chunk_frames must be positive, got {chunk_frames}")
         scores = np.empty(
             (self.copy_count, spikes_per_frame, batch, self.network.num_classes),
             dtype=np.float64,
         )
-        for start, frames in encoder.iter_encoded(
-            features, rng=rng, chunk_frames=chunk_frames
-        ):
-            count = frames.shape[0]
-            flat = frames.reshape(count * batch, features.shape[1])
-            chunk_scores = self.class_scores(flat)
+        for start in range(0, spikes_per_frame, chunk_frames):
+            count = min(chunk_frames, spikes_per_frame - start)
+            # The encoder writes this chunk's spikes as 0.0/1.0 straight
+            # into the float32 GEMM input, which _forward_internal then
+            # uses as it is.
+            frames = self._scratch("input", (count * batch, width))
+            StochasticEncoder(spikes_per_frame=count).encode(
+                features, rng=rng, out=frames.reshape(count, batch, width)
+            )
+            chunk_scores = self.class_scores(frames)
             scores[:, start : start + count] = chunk_scores.reshape(
                 self.copy_count, count, batch, self.network.num_classes
             )

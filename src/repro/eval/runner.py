@@ -6,9 +6,10 @@ the pieces together on top of :class:`repro.eval.engine.VectorizedEvaluator`:
 
 * the corelets are built once and the *largest* copy count is deployed once
   per repeat;
-* the input frames are encoded once per repeat (streamed in chunks so the
-  spike volume never fully materializes) and pushed through all copies in a
-  single vectorized pass;
+* the input frames are encoded once per repeat, in chunks of spike frames
+  written straight into the engine's float32 GEMM input (the chunk and the
+  encoder's one 64 KiB block of uniform draws bound the memory), and pushed
+  through all copies in a single vectorized pass;
 * every smaller grid point is derived from cumulative sums of the score
   tensor (the scores of a 16-copy, 4-spf deployment contain those of every
   nested configuration — just sum fewer copies / fewer frames);
@@ -228,8 +229,9 @@ class SweepRunner:
         repeats: independent deployment + encoding repeats averaged per grid
             point.
         max_samples: optional cap on evaluated samples.
-        chunk_frames: spike frames encoded per streaming chunk (``None`` =
-            automatic).
+        chunk_frames: spike frames encoded and propagated per chunk, each
+            chunk one float32 GEMM input (``None`` = at most about 4 million
+            elements per chunk).
         cache: results cache; ``None`` uses the module-level
             :data:`GLOBAL_SCORE_CACHE`.
     """

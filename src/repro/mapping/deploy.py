@@ -139,8 +139,10 @@ def evaluate_deployed_scores(
     Every copy sees the *same* input spike realizations (on hardware a
     splitter fans the one spike stream out to all copies), while each copy
     applies its own sampled connectivity.  The propagation is fully
-    vectorized (:class:`repro.eval.engine.VectorizedEvaluator`) and the
-    encoding is streamed, so the spike volume never fully materializes.
+    vectorized (:class:`repro.eval.engine.VectorizedEvaluator`), and the
+    spikes are encoded in chunks of ``chunk_frames`` frames straight into
+    its float32 GEMM input, so that chunk and the encoder's one 64 KiB block
+    of uniform draws bound the memory the encoding takes.
 
     Returns:
         array of shape (copies, spikes_per_frame, batch, num_classes) holding

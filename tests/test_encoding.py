@@ -1,5 +1,7 @@
 """Tests for the spike encoders and the spike-count decoder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,90 @@ def test_stochastic_encoder_validation():
         encoder.encode(np.array([0.5, 0.5]))  # not 2-D
     with pytest.raises(ValueError):
         encoder.encode(np.array([[1.5]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        # NaN compares false both ways, so a min/max range test must be
+        # written to fail on it; it would otherwise encode as a silent pixel.
+        with pytest.raises(ValueError):
+            encoder.encode(np.array([[0.5, bad]]))
+
+
+def _one_shot(values, spikes_per_frame, seed):
+    """The whole (spf, batch, features) draw at once, and the generator after it."""
+    rng = np.random.default_rng(seed)
+    draws = rng.random((spikes_per_frame,) + values.shape)
+    return (draws < values).astype(np.uint8), rng
+
+
+@pytest.mark.parametrize(
+    "spikes_per_frame, batch, features",
+    [
+        (4, 23, 784),  # 10 rows per block: the last block holds 3 rows
+        (3, 2, 9000),  # one row wider than the 8,192-draw block
+        (2, 3, 8192),  # one row fills the block exactly
+        (3, 0, 784),  # batch 0 draws nothing
+        (1, 7, 11),  # a single frame
+    ],
+)
+def test_stochastic_encoder_blocks_reproduce_one_shot_draw(
+    spikes_per_frame, batch, features
+):
+    values = np.random.default_rng(1).random((batch, features))
+    expected, after = _one_shot(values, spikes_per_frame, seed=7)
+    rng = np.random.default_rng(7)
+    frames = StochasticEncoder(spikes_per_frame).encode(values, rng=rng)
+    assert frames.dtype == np.uint8 and frames.flags.c_contiguous
+    assert np.array_equal(frames, expected)
+    # The generator ends where the one-shot draw leaves it.
+    assert rng.random() == after.random()
+
+
+def test_stochastic_encoder_writes_into_transposed_uint8_view():
+    values = np.random.default_rng(2).random((13, 50))
+    expected, _ = _one_shot(values, 4, seed=3)
+    volume = np.full((13, 4, 50), 9, dtype=np.uint8)  # (batch, ticks, features)
+    written = StochasticEncoder(4).encode(
+        values, rng=3, out=volume.transpose(1, 0, 2)
+    )
+    assert np.shares_memory(written, volume)
+    assert np.array_equal(volume, expected.transpose(1, 0, 2))
+
+
+def test_stochastic_encoder_writes_float32_zeros_and_ones():
+    values = np.random.default_rng(2).random((13, 50))
+    expected, _ = _one_shot(values, 4, seed=3)
+    out = np.full((4, 13, 50), 7.0, dtype=np.float32)
+    assert StochasticEncoder(4).encode(values, rng=3, out=out) is out
+    assert np.array_equal(out, expected.astype(np.float32))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((4, 13, 51), dtype=np.uint8),
+        np.empty((13, 4, 50), dtype=np.uint8),
+        np.empty((4, 13, 50), dtype=np.float64),
+        np.empty((4, 13, 50), dtype=np.bool_),
+    ],
+    ids=["shape", "axes", "float64", "bool"],
+)
+def test_stochastic_encoder_rejects_wrong_out(out):
+    values = np.full((13, 50), 0.5)
+    with pytest.raises(ValueError):
+        StochasticEncoder(4).encode(values, rng=0, out=out)
+
+
+def test_stochastic_encoder_peak_memory_is_output_plus_one_block():
+    values = np.random.default_rng(0).random((200, 784))
+    encoder = StochasticEncoder(spikes_per_frame=4)
+    tracemalloc.start()
+    try:
+        frames = encoder.encode(values, rng=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy reports its buffers to tracemalloc, so the peak shows every
+    # float64 draw held at once: one 64 KiB block beyond the spikes.
+    assert peak < frames.nbytes + 128 * 1024
 
 
 # --------------------------------------------------------------- rate

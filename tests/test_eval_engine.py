@@ -16,7 +16,6 @@ from repro.eval.engine import (
 )
 from repro.eval.runner import ScoreCache, SweepRunner, model_fingerprint
 from repro.eval.sweep import accuracy_sweep
-from repro.encoding.stochastic import StochasticEncoder
 from repro.mapping.corelet import Corelet, CoreletNetwork
 from repro.mapping.deploy import DeployedNetwork, deploy_model, evaluate_deployed_scores
 from repro.mapping.duplication import deploy_with_copies
@@ -66,15 +65,6 @@ def test_chunked_streaming_matches_one_shot(trained_model, deployed_copies):
         deployed_copies, features, spikes_per_frame=4, rng=9, chunk_frames=1
     )
     assert np.array_equal(full, chunked)
-
-
-def test_encoder_chunks_reproduce_one_shot_stream():
-    values = np.random.default_rng(4).random((5, 11))
-    encoder = StochasticEncoder(spikes_per_frame=7)
-    one_shot = encoder.encode(values, rng=42)
-    chunks = list(encoder.iter_encoded(values, rng=42, chunk_frames=3))
-    assert [start for start, _ in chunks] == [0, 3, 6]
-    assert np.array_equal(np.concatenate([frames for _, frames in chunks]), one_shot)
 
 
 def test_engine_matches_loop_on_multilayer_network(small_dataset):
